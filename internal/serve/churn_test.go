@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -285,5 +286,73 @@ func TestChurnDoesNotPerturbBaseFleet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("churn-off run diverges from the plain spec:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestChurnWarmingLaneNeverParks: with the per-lane meso tier on and
+// group parking off, a lane admitted by churn has no arrival stream
+// until its warm-up ends, so it must stay barred from parking until
+// warmAt (an idle warming lane looks steady). The run then agrees with
+// its meso-off pair on energy within the drift tolerance, and every
+// probe stays green.
+func TestChurnWarmingLaneNeverParks(t *testing.T) {
+	t.Parallel()
+	const at, warmup = 500 * time.Millisecond, 800 * time.Millisecond
+	sp := Spec{
+		Profiles:        []string{"SSD2"},
+		Size:            8,
+		Shards:          1,
+		Horizon:         3 * time.Second,
+		Seed:            42,
+		Meso:            true,
+		CheckInvariants: true,
+		Churn: []ChurnEvent{
+			{At: at, Profile: "SSD2", Add: 2, Warmup: warmup},
+			{At: 2 * time.Second, Profile: "SSD2", Remove: 2},
+		},
+	}
+
+	s := buildOneShard(t, sp)
+	base := len(s.lanes)
+	checks := 0
+	// Posted after build, so co-timed observers fire after the epoch.
+	for tt := at; tt < at+warmup; tt += s.spec.ControlPeriod / 4 {
+		s.eng.Post(tt, func() {
+			for li := base; li < len(s.lanes); li++ {
+				checks++
+				if ml := s.meso.lanes[li]; ml.phase != mesoHydrated || ml.barredUntil != at+warmup {
+					t.Errorf("at %v churned lane %d: phase %d, barred until %v (warm-up ends %v)",
+						s.eng.Now(), li, ml.phase, ml.barredUntil, at+warmup)
+				}
+			}
+		})
+	}
+	if err := guardShard(s.eng, func() error { _, err := s.run(); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if checks == 0 {
+		t.Fatal("no churned lane was observed while warming")
+	}
+
+	on, err := Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offSpec := sp
+	offSpec.Meso = false
+	off, err := Run(offSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.MesoDehydrations == 0 {
+		t.Fatal("nothing parked: the pair run compares nothing")
+	}
+	if d := math.Abs(on.AvgPowerW-off.AvgPowerW) / off.AvgPowerW; d > s.spec.MesoDriftTolFrac {
+		t.Fatalf("meso-on %.2f W vs meso-off %.2f W: %.2f%% apart, tolerance %.0f%%",
+			on.AvgPowerW, off.AvgPowerW, 100*d, 100*s.spec.MesoDriftTolFrac)
+	}
+	if !on.CapOK || !on.TrackOK || !on.MesoDriftOK {
+		t.Fatalf("probes failed: cap=%v track=%v drift=%v (worst %.4f)",
+			on.CapOK, on.TrackOK, on.MesoDriftOK, on.MesoWorstDriftFrac)
 	}
 }

@@ -11,18 +11,21 @@ import (
 	"wattio/internal/telemetry/invariant"
 )
 
-// Group-level parking (Spec.MesoGroupMin): a shard's lanes of one
-// profile form a cohort of interchangeable members. Big cohorts keep
-// only a few resident probe lanes (plus any fault-injected members) in
-// mechanistic simulation; the rest are virtual — no devices, no
-// governors, no arrival streams — accounted by meso.GroupPool buckets
-// keyed (cohort, power state). Planning happens on shared per-profile
-// concave hulls (groupplan.go) in O(#buckets); probes donate measured
-// operating points to their bucket when they park, and the energy the
-// virtual population accrued before its first calibration is backfilled
-// retroactively into the shard's interval accounting — always from a
-// measurement, with the planning table only as a settle-time fallback
-// for buckets no probe ever reached.
+// Cohorts: a shard's lanes of one profile form a cohort of
+// interchangeable members, and every shard plans and decides residency
+// through them. With group parking on (Spec.MesoGroupMin), big cohorts
+// keep only a few resident probe lanes (plus any fault-injected
+// members) in mechanistic simulation; the rest are virtual — no
+// devices, no governors, no arrival streams — accounted by
+// meso.GroupPool buckets keyed (cohort, power state). Otherwise every
+// member is resident and the pool stays empty. Planning happens on
+// shared per-profile concave hulls (groupplan.go) in O(#buckets +
+// #residents); probes donate measured operating points to their bucket
+// when they park, and the energy the virtual population accrued before
+// its first calibration is backfilled retroactively into the shard's
+// interval accounting — always from a measurement, with the planning
+// table only as a settle-time fallback for buckets no probe ever
+// reached.
 //
 // Everything runs on the shard's single goroutine and virtual clock, so
 // the determinism contract is untouched: same spec, same report, at any
@@ -51,6 +54,10 @@ type groupCohort struct {
 	profile string
 	count   int // members in this shard, residents included
 	hull    []hullLevel
+	// virtual marks a cohort big enough to virtualize members; churn
+	// adds to it join as virtual members, adds to a fully resident
+	// cohort materialize as lanes.
+	virtual bool
 
 	// resOrder lists resident lane indices, probes first (they can park
 	// and calibrate) then barred members (faulted); resLevel is each
@@ -81,14 +88,17 @@ type groupState struct {
 	cohorts    []groupCohort // indexed by profile index
 	laneCohort []int         // lane -> profile index
 	laneResIdx []int         // lane -> position in its cohort's resOrder
-	planW      []float64     // per device: planned draw (governor target)
-	applied    bool
+	// planW is each resident device's planned draw, its governor
+	// target: the profile's top draw until a plan assigns it.
+	planW   []float64
+	applied bool
 }
 
 // planGroups decides residency for every member of the shard's slice
 // and pre-draws faults, before any device exists. Residents are the
 // first MesoProbes non-faulted members of each virtualized cohort plus
-// every faulted member; cohorts smaller than MesoGroupMin stay fully
+// every faulted member; a cohort virtualizes only when group parking is
+// on and it has at least MesoGroupMin members, otherwise it stays fully
 // resident. Fault draws run for ALL members in ascending instance
 // order, so the draw each member receives is independent of how many
 // end up materialized.
@@ -128,11 +138,11 @@ func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string
 		if c.count == 0 {
 			continue
 		}
-		full := c.count < sp.MesoGroupMin
+		c.virtual = sp.MesoGroupMin > 0 && c.count >= sp.MesoGroupMin
 		probes := 0
 		for g := first; g < rg.g1; g += P {
 			switch {
-			case full, faultedGroup[g]:
+			case !c.virtual, faultedGroup[g]:
 				resident[g] = true
 			case probes < sp.MesoProbes:
 				resident[g] = true
@@ -151,21 +161,21 @@ func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string
 // materialize builds one resident member's device, applying its
 // pre-drawn fault windows (returned for the caller's barred-until
 // bookkeeping; empty when unfaulted).
-func (g *groupState) materialize(profile string, gi int) (device.Device, string, []fault.Window, error) {
+func (g *groupState) materialize(profile string, gi int) (device.Device, []fault.Window, error) {
 	name := InstanceName(profile, gi)
 	d, err := baseDevice(g.s.spec, g.s.eng, g.rng, profile, name)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	pf, ok := g.pre[gi]
 	if !ok {
-		return d, name, nil, nil
+		return d, nil, nil
 	}
 	fd, err := fault.New(d, g.s.eng, pf.ds.Stream("inject"), fault.Profile{Windows: pf.wins})
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("fault windows for %s: %w", name, err)
+		return nil, nil, fmt.Errorf("fault windows for %s: %w", name, err)
 	}
-	return fd, name, pf.wins, nil
+	return fd, pf.wins, nil
 }
 
 // finishBuild runs after the resident lanes exist: map lanes to cohort
@@ -176,7 +186,6 @@ func (g *groupState) finishBuild() {
 	P := len(s.spec.Profiles)
 	g.laneCohort = make([]int, len(s.lanes))
 	g.laneResIdx = make([]int, len(s.lanes))
-	g.planW = append([]float64(nil), s.maxW...)
 	barred := make([][]int, len(g.cohorts))
 	for li, gnum := range s.laneGroup {
 		pi := gnum % P
@@ -221,10 +230,17 @@ func (g *groupState) laneGone(li int) bool {
 	return g.s.lc != nil && (g.s.lc[li].removing || g.s.lc[li].dead)
 }
 
-// apply is the group-mode re-plan: bulk-allocate every cohort member to
-// a hull level under the shard's budget slice, retarget resident
-// devices and governors, and move bucket counts — O(#buckets +
-// #residents), independent of the virtual population.
+// apply is the re-plan: bulk-allocate every cohort member to a hull
+// level under the shard's budget slice, retarget resident devices and
+// governors, and move bucket counts — O(#buckets + #residents),
+// independent of the virtual population.
+//
+// A resident whose device refuses its power-state command (an injected
+// power-cmd fault) is held at its stuck estimate — per device, the
+// highest planning-table draw at the state it holds — that draw is
+// reserved from the slice, and the rest is re-planned. Each refused
+// pass sticks at least one more resident, so there is at most one pass
+// per resident; Compensations counts the re-plan passes.
 func (g *groupState) apply(fleetW float64) {
 	s := g.s
 	sp := s.spec
@@ -247,79 +263,68 @@ func (g *groupState) apply(fleetW float64) {
 		}
 	}
 
-	demands := make([]cohortDemand, len(g.cohorts))
-	for pi := range g.cohorts {
-		c := &g.cohorts[pi]
-		demands[pi] = cohortDemand{hull: c.hull, count: c.count - c.warming, laneScale: float64(sp.Replicas)}
-	}
-	dist, ok := planShares(demands, slice)
-	if !ok {
-		// Infeasible slice: keep the previous assignment (first apply:
-		// everything at the top level, matching the devices' power-on
-		// states) rather than thrash.
-		s.res.Infeasible++
-		if g.applied {
-			return
-		}
-		dist = make([][]int, len(g.cohorts))
+	var stuck map[int]bool // resident lanes held at their stuck estimate
+	var reservedW float64
+	var dist [][]int
+	feasible := true
+	for {
+		demands := make([]cohortDemand, len(g.cohorts))
 		for pi := range g.cohorts {
 			c := &g.cohorts[pi]
-			dist[pi] = make([]int, len(c.hull))
-			dist[pi][len(c.hull)-1] = c.count - c.warming
+			demands[pi] = cohortDemand{hull: c.hull, count: c.count - c.warming, laneScale: float64(sp.Replicas)}
 		}
-	} else {
+		for li := range stuck {
+			demands[g.laneCohort[li]].count--
+		}
+		var ok bool
+		if dist, ok = planShares(demands, slice-reservedW); !ok {
+			// Infeasible slice: keep the previous bucket counts and
+			// governor targets rather than thrash. The first apply has
+			// none, so everything starts at the top level, matching the
+			// devices' power-on states.
+			if g.applied {
+				s.res.Infeasible++
+				return
+			}
+			feasible = false
+			dist = make([][]int, len(demands))
+			for pi, d := range demands {
+				dist[pi] = make([]int, len(d.hull))
+				dist[pi][len(d.hull)-1] = d.count
+			}
+		}
+		refused := g.assignResidents(dist, stuck)
+		if len(refused) == 0 {
+			break
+		}
+		s.res.Compensations++
+		if stuck == nil {
+			stuck = make(map[int]bool)
+		}
+		for _, li := range refused {
+			stuck[li] = true
+			reservedW += g.holdStuck(li)
+		}
+	}
+	if feasible {
 		s.res.Replans++
+	} else {
+		s.res.Infeasible++
 	}
 
-	var pos []int
+	// Whatever the residents left is the virtual population per level.
 	for pi := range g.cohorts {
 		c := &g.cohorts[pi]
 		if c.count == 0 {
 			continue
 		}
-		s.res.MesoGroupScans += len(c.hull)
-		rem := append([]int(nil), dist[pi]...)
-
-		// Residents take their levels from the shared distribution:
-		// first a coverage pass placing one probe on each populated
-		// level (so every live bucket has a calibration source), then
-		// the rest onto whichever level has the most members left.
-		// Residents retired by churn hold no level and are skipped.
-		pos = pos[:0]
-		probes := 0
-		for k := range c.resOrder {
-			if g.laneGone(c.resOrder[k]) {
-				continue
-			}
-			if k < c.probes {
-				probes++
-			}
-			pos = append(pos, k)
+		if sp.MesoGroupMin > 0 {
+			s.res.MesoGroupScans += len(c.hull)
 		}
-		assigned := 0
-		for j := 0; j < len(rem) && assigned < probes; j++ {
-			if rem[j] > 0 {
-				g.assignResident(c, pos[assigned], j)
-				rem[j]--
-				assigned++
-			}
-		}
-		for ; assigned < len(pos); assigned++ {
-			best := -1
-			for j := range rem {
-				if rem[j] > 0 && (best < 0 || rem[j] > rem[best]) {
-					best = j
-				}
-			}
-			g.assignResident(c, pos[assigned], best)
-			rem[best]--
-		}
-
-		// Whatever remains is the virtual population per level.
-		for j := range rem {
+		for j, n := range dist[pi] {
 			key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
-			if rem[j] > 0 || g.pool.Count(key) > 0 {
-				g.pool.SetCount(key, rem[j], now)
+			if n > 0 || g.pool.Count(key) > 0 {
+				g.pool.SetCount(key, n, now)
 			}
 		}
 	}
@@ -332,16 +337,67 @@ func (g *groupState) apply(fleetW float64) {
 	g.applied = true
 }
 
+// assignResidents gives every serving resident its level from the
+// shared distribution, taking each assigned member out of dist: first a
+// coverage pass placing one probe on each populated level (so every
+// live bucket has a calibration source), then the rest onto whichever
+// level has the most members left. Residents retired by churn or held
+// stuck hold no level and are skipped. It returns the lanes whose
+// devices refused their command, in cohort order.
+func (g *groupState) assignResidents(dist [][]int, stuck map[int]bool) (refused []int) {
+	var pos []int
+	for pi := range g.cohorts {
+		c := &g.cohorts[pi]
+		if c.count == 0 {
+			continue
+		}
+		rem := dist[pi]
+		pos = pos[:0]
+		probes := 0
+		for k, li := range c.resOrder {
+			if g.laneGone(li) || stuck[li] {
+				continue
+			}
+			if k < c.probes {
+				probes++
+			}
+			pos = append(pos, k)
+		}
+		assign := func(k, j int) {
+			if !g.assignResident(c, k, j) {
+				refused = append(refused, c.resOrder[k])
+			}
+			rem[j]--
+		}
+		assigned := 0
+		for j := 0; j < len(rem) && assigned < probes; j++ {
+			if rem[j] > 0 {
+				assign(pos[assigned], j)
+				assigned++
+			}
+		}
+		for ; assigned < len(pos); assigned++ {
+			best := -1
+			for j := range rem {
+				if rem[j] > 0 && (best < 0 || rem[j] > rem[best]) {
+					best = j
+				}
+			}
+			assign(pos[assigned], best)
+		}
+	}
+	return refused
+}
+
 // assignResident points resident k of cohort c at hull level j: its
 // devices move to the level's power state and their governor targets
-// follow. A device refusing the command (an injected power-fault) keeps
-// its state and is counted as a compensation, like the per-device
-// controller's stuck handling.
-func (g *groupState) assignResident(c *groupCohort, k, j int) {
+// follow. It reports false when a device refused the command.
+func (g *groupState) assignResident(c *groupCohort, k, j int) bool {
 	s := g.s
 	c.resLevel[k] = j
 	li := c.resOrder[k]
 	r := s.spec.Replicas
+	ok := true
 	for di := li * r; di < (li+1)*r; di++ {
 		g.planW[di] = c.hull[j].powerW
 		d := s.devs[di]
@@ -349,8 +405,50 @@ func (g *groupState) assignResident(c *groupCohort, k, j int) {
 			continue
 		}
 		if err := d.SetPowerState(c.hull[j].level); err != nil {
-			s.res.Compensations++
+			ok = false
 		}
+	}
+	return ok
+}
+
+// holdStuck pins a refusing resident's devices at their stuck
+// estimates — the highest planning-table draw at the power state each
+// holds, or the profile's highest draw when the table has no point
+// there — and returns the lane total the re-plan must reserve.
+func (g *groupState) holdStuck(li int) float64 {
+	s := g.s
+	profile := g.cohorts[g.laneCohort[li]].profile
+	r := s.spec.Replicas
+	var sum float64
+	for di := li * r; di < (li+1)*r; di++ {
+		ps := s.devs[di].PowerStateIndex()
+		w := -1.0
+		for _, p := range planningTable[profile] {
+			if p.ps == ps && p.powerW > w {
+				w = p.powerW
+			}
+		}
+		if w < 0 {
+			w = profileMaxW(profile)
+		}
+		g.planW[di] = w
+		sum += w
+	}
+	return sum
+}
+
+// addResident enrolls a lane admitted by churn into its fully resident
+// cohort: it joins resOrder behind the build-time residents, and the
+// caller's re-plan gives it a level.
+func (g *groupState) addResident(li, pi int) {
+	c := &g.cohorts[pi]
+	c.count++
+	g.laneCohort = append(g.laneCohort, pi)
+	g.laneResIdx = append(g.laneResIdx, len(c.resOrder))
+	c.resOrder = append(c.resOrder, li)
+	c.resLevel = append(c.resLevel, 0)
+	for rep := 0; rep < g.s.spec.Replicas; rep++ {
+		g.planW = append(g.planW, profileMaxW(c.profile))
 	}
 }
 

@@ -2,12 +2,12 @@ package serve
 
 import "sort"
 
-// Group-mode planning: when a shard represents most of its lanes as
-// virtual cohort members (Spec.MesoGroupMin), per-device budget control
-// is replaced by bulk allocation over per-profile concave hulls. Members
-// of a cohort are interchangeable, so a plan is just a count per
-// operating level — the controller's work is O(#cohorts × #levels), not
-// O(#lanes), and a budget step moves whole buckets at once.
+// Budget planning: every shard plans by bulk allocation over
+// per-profile concave hulls, whether its cohorts have virtual members
+// (Spec.MesoGroupMin) or are fully resident. Members of a cohort are
+// interchangeable, so a plan is just a count per operating level — the
+// planner's work is O(#cohorts × #levels), not O(#lanes), and a budget
+// step moves whole buckets at once.
 
 // hullLevel is one operating level on a profile's concave hull: the
 // planning power state and the per-device planning draw/throughput.
@@ -82,6 +82,15 @@ type cohortDemand struct {
 // cohort, or ok=false when even the all-minimum allocation exceeds the
 // slice. Deterministic: ties in efficiency break by cohort then rung
 // index. O(Σ levels · log) — independent of lane count.
+//
+// Optimality bound: this is the greedy solution of the LP relaxation of
+// the multiple-choice knapsack over the hulls. It matches the LP
+// optimum except for the one rung it can afford only part of, so its
+// planned throughput is at least the exact optimum (any per-device
+// assignment of planning-table points within the slice) minus the
+// largest single-rung gain, per-lane ΔT × laneScale. Feasibility is
+// exact: ok is false only when the all-minimum draw exceeds the slice.
+// TestPlanSharesMatchesFleetOracle checks all three against core.Fleet.
 func planShares(cohorts []cohortDemand, sliceW float64) (dist [][]int, ok bool) {
 	dist = make([][]int, len(cohorts))
 	base := 0.0

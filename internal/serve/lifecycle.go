@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wattio/internal/adaptive"
-	"wattio/internal/core"
 	"wattio/internal/device"
 	"wattio/internal/sim"
 	"wattio/internal/workload"
@@ -243,20 +242,19 @@ func (s *shard) rateStep(rs workload.RateStep) {
 			s.meso.resetBaseline(i)
 		}
 	}
-	if s.grp != nil {
-		s.grp.pool.SetRate(rs.IOPS*float64(s.spec.Active), now)
-		s.grp.pool.Recalibrate(now)
-	}
+	s.grp.pool.SetRate(rs.IOPS*float64(s.spec.Active), now)
+	s.grp.pool.Recalibrate(now)
 }
 
-// admitLane materializes one churned replica group as a live lane:
-// devices, redirector, governors, arrival stream — all drawn from a
-// fresh RNG root keyed by the global group number, so the lane's
-// behavior is independent of join order and of every other lane's
-// stream position. Churned lanes take no fault injection: the fault
-// draw pass covers the build-time fleet. Arrivals do not start here;
-// the warm event does that.
-func (s *shard) admitLane(g, pi int, at time.Duration) error {
+// admitLane materializes one churned replica group as a live lane of
+// its fully resident cohort: devices, redirector, governors, arrival
+// stream — all drawn from a fresh RNG root keyed by the global group
+// number, so the lane's behavior is independent of join order and of
+// every other lane's stream position. Churned lanes take no fault
+// injection: the fault draw pass covers the build-time fleet. Arrivals
+// do not start here; the warm event at warmAt does that, and the meso
+// tier bars the lane from parking until then.
+func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 	sp := s.spec
 	profile := sp.Profiles[pi]
 	lrng := sim.NewRNG(sp.Seed ^ shardHash("serve/churn", g))
@@ -271,13 +269,6 @@ func (s *shard) admitLane(g, pi int, at time.Duration) error {
 		}
 		s.devs = append(s.devs, d)
 		s.devDead = append(s.devDead, false)
-		s.names = append(s.names, name)
-		s.maxW = append(s.maxW, profileMaxW(profile))
-		m, err := planningModel(profile, name)
-		if err != nil {
-			return err
-		}
-		s.models = append(s.models, m)
 		groupDevs = append(groupDevs, d)
 	}
 	target := groupDevs[0]
@@ -306,13 +297,14 @@ func (s *shard) admitLane(g, pi int, at time.Duration) error {
 	s.astreams = append(s.astreams, lrng.Stream("arrivals"))
 	s.arrs = append(s.arrs, nil)
 	s.lc = append(s.lc, laneLife{warmFrom: at})
+	s.grp.addResident(li, pi)
 	for di := d0; di < len(s.devs); di++ {
 		d := s.devs[di]
 		if len(d.PowerStates()) < 2 {
 			s.govs = append(s.govs, nil)
 			continue
 		}
-		gv, err := adaptive.NewGovernor(s.eng, d, s.maxW[di]*govGuard, sp.ControlPeriod)
+		gv, err := adaptive.NewGovernor(s.eng, d, s.planBudget(di), sp.ControlPeriod)
 		if err != nil {
 			return err
 		}
@@ -320,7 +312,7 @@ func (s *shard) admitLane(g, pi int, at time.Duration) error {
 		s.govs = append(s.govs, gv)
 	}
 	if s.meso != nil {
-		s.meso.addLane(li, s.lc[li].warmFrom)
+		s.meso.addLane(li, warmAt)
 	}
 	return nil
 }
@@ -384,39 +376,6 @@ func (s *shard) laneCompleted(l *lane, now time.Duration) {
 	}
 }
 
-// rebuildController rebinds the per-device BudgetController to the
-// current live membership (draining and dead lanes hold no share). The
-// Fleet — and its cached Pareto frontier — comes from the composition
-// cache, so a schedule that revisits a membership (scale-out then drain
-// back to the previous size) reuses the frontier instead of re-merging.
-func (s *shard) rebuildController() error {
-	r := s.spec.Replicas
-	names := make([]string, 0, len(s.devs))
-	devs := make([]device.Device, 0, len(s.devs))
-	models := make([]*core.Model, 0, len(s.models))
-	for i, d := range s.devs {
-		lf := &s.lc[i/r]
-		if lf.removing || lf.dead {
-			continue
-		}
-		names = append(names, s.names[i])
-		devs = append(devs, d)
-		models = append(models, s.models[i])
-	}
-	key := adaptive.CompositionKey(names)
-	if s.bc != nil {
-		s.ctrlComp += s.bc.Compensations
-	}
-	bc, err := s.fcache.Controller(key, devs, func() (*core.Fleet, error) {
-		return core.NewFleet(models...)
-	})
-	if err != nil {
-		return err
-	}
-	s.bc = bc
-	return nil
-}
-
 // churnEpoch executes one membership epoch: rehydrate the analytic
 // tier, apply this shard's adds then removes, adopt the new live
 // counts, and re-plan under the budget in force. A zero-warm-up event
@@ -428,18 +387,14 @@ func (s *shard) churnEpoch(ep churnEpoch) {
 		s.meso.rehydrateAll()
 	}
 	for _, ad := range ep.adds {
-		if s.grp != nil {
+		if s.grp.cohorts[ad.pi].virtual {
 			s.grp.addVirtual(ad, ep.at, ep.warmAt, now)
-		} else if err := s.admitLane(ad.g, ad.pi, ep.at); err != nil {
+		} else if err := s.admitLane(ad.g, ad.pi, ep.at, ep.warmAt); err != nil {
 			panic(fmt.Sprintf("serve: churn admission of group %d: %v", ad.g, err))
 		}
 	}
 	for _, rm := range ep.removes {
-		if s.grp != nil {
-			s.grp.removeMember(rm, now)
-		} else {
-			s.beginRemove(rm.g, now)
-		}
+		s.grp.removeMember(rm, now)
 	}
 	s.res.ChurnAdds += len(ep.adds)
 	s.res.ChurnRemoves += len(ep.removes)
@@ -448,7 +403,7 @@ func (s *shard) churnEpoch(ep churnEpoch) {
 	if len(ep.adds) > 0 && ep.warmAt == ep.at {
 		s.warmTransition(ep, now)
 	}
-	s.replanLive(now, len(ep.adds)+len(ep.removes) > 0)
+	s.grp.apply(budgetAt(s.spec.Budget, now))
 }
 
 // warmEpoch fires when a churn event's warm-up window closes: the
@@ -460,19 +415,20 @@ func (s *shard) warmEpoch(ep churnEpoch) {
 		s.meso.rehydrateAll()
 	}
 	s.warmTransition(ep, now)
-	s.replanLive(now, false)
+	s.grp.apply(budgetAt(s.spec.Budget, now))
 }
 
-// warmTransition moves an epoch's adds from warming to active: plain
-// lanes start their arrival processes (first completion records the
-// warm-up recovery latency), virtual cohort members leave the warm
-// bucket for the serving distribution. Members removed while still
-// warming are skipped — they never serve.
+// warmTransition moves an epoch's adds (all of one cohort) from warming
+// to active: virtual cohort members leave the warm bucket for the
+// serving distribution, resident lanes start their arrival processes
+// (first completion records the warm-up recovery latency). Members
+// removed while still warming are skipped — they never serve.
 func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
-	if s.grp != nil {
-		if len(ep.adds) > 0 {
-			s.grp.warmBatchDone(ep.adds[0].pi, ep.at, ep.warmAt, now)
-		}
+	if len(ep.adds) == 0 {
+		return
+	}
+	if pi := ep.adds[0].pi; s.grp.cohorts[pi].virtual {
+		s.grp.warmBatchDone(pi, ep.at, ep.warmAt, now)
 		return
 	}
 	for _, ad := range ep.adds {
@@ -489,20 +445,4 @@ func (s *shard) warmTransition(ep churnEpoch, now time.Duration) {
 			s.meso.resetBaseline(li)
 		}
 	}
-}
-
-// replanLive re-plans the shard under the budget in force at now.
-// rebuild forces a controller re-bind first (membership changed).
-func (s *shard) replanLive(now time.Duration, rebuild bool) {
-	w := budgetAt(s.spec.Budget, now)
-	if s.grp != nil {
-		s.grp.apply(w)
-		return
-	}
-	if rebuild {
-		if err := s.rebuildController(); err != nil {
-			panic(fmt.Sprintf("serve: churn controller rebuild: %v", err))
-		}
-	}
-	s.applyBudget(w)
 }

@@ -54,35 +54,6 @@ func scriptedFaults(sp *Spec) map[string][]fault.Window {
 	return m
 }
 
-// materializeDevice builds fleet device gi of a profile on a shard's
-// engine and applies fault injection: the spec's scripted plan when it
-// names this instance, else the FaultFrac probabilistic draw. Both the
-// device stream and the fault stream are labeled by the instance name,
-// and a scripted instance skips the probabilistic draw entirely — the
-// draws of every other instance come from their own streams, so adding
-// a script to one device never perturbs another's faults or workload.
-// The returned windows are the fault outcome (empty when unfaulted);
-// the caller uses their span to bound how long the lane stays barred
-// from the analytic tier.
-func materializeDevice(sp *Spec, eng *sim.Engine, rng, frng *sim.RNG,
-	scripted map[string][]fault.Window, profile string, gi int) (device.Device, string, []fault.Window, error) {
-	name := InstanceName(profile, gi)
-	d, err := baseDevice(sp, eng, rng, profile, name)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	ds := frng.Stream(name)
-	wins, faulted := drawFault(sp, ds, scripted, name)
-	if !faulted {
-		return d, name, nil, nil
-	}
-	fd, err := fault.New(d, eng, ds.Stream("inject"), fault.Profile{Windows: wins})
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("fault windows for %s: %w", name, err)
-	}
-	return fd, name, wins, nil
-}
-
 // baseDevice builds the unwrapped device model of one fleet instance:
 // a fitted surrogate when the spec maps the profile, else the catalog
 // simulator on its own derived stream.
@@ -103,10 +74,11 @@ func baseDevice(sp *Spec, eng *sim.Engine, rng *sim.RNG, profile, name string) (
 
 // drawFault resolves one instance's fault outcome from its dedicated
 // stream ds: the scripted windows when the spec names the instance,
-// else the FaultFrac probabilistic draw. Group mode runs this pass for
+// else the FaultFrac probabilistic draw. planGroups runs this pass for
 // every member — virtual ones included — before deciding which to
 // materialize, consuming exactly the draws the instance owns; whether
-// the member then becomes a device never perturbs another's faults.
+// the member then becomes a device never perturbs another's faults, and
+// a script on one instance never perturbs another's draw.
 func drawFault(sp *Spec, ds *sim.RNG, scripted map[string][]fault.Window, name string) ([]fault.Window, bool) {
 	if wins := scripted[name]; len(wins) > 0 {
 		return wins, true

@@ -244,11 +244,9 @@ func (m *mesoState) tick() {
 	now := s.eng.Now()
 	m.ticks++
 	atEnd := now >= s.spec.Horizon
-	if s.grp != nil {
-		// Virtual cohort members are served analytically this period —
-		// one O(1) read, however many lanes the buckets represent.
-		s.res.MesoParkedPeriods += s.grp.pool.Members()
-	}
+	// Virtual cohort members are served analytically this period — one
+	// O(1) read, however many lanes the buckets represent.
+	s.res.MesoParkedPeriods += s.grp.pool.Members()
 	for i := range m.lanes {
 		ml := &m.lanes[i]
 		if s.lc != nil && (s.lc[i].removing || s.lc[i].dead) {
@@ -313,9 +311,13 @@ func (m *mesoState) tick() {
 // beginDrain starts dehydration: the draw averaged over the steady
 // dwell window is the aggregate's calibration (and the verdict on any
 // pending sentinel comparison), arrivals stop, and the lane drains its
-// in-flight IO.
+// in-flight IO. A lane with no live arrival stream has no steady regime
+// to calibrate; parking one is an invariant failure, reported as such.
 func (m *mesoState) beginDrain(i int, ml *mesoLane, e float64, now time.Duration) {
 	s := m.s
+	if a := s.arrs[i]; a == nil || a.Done() {
+		panic(fmt.Sprintf("serve: meso would park lane %d (group %d) with no live arrival stream", i, s.laneGroup[i]))
+	}
 	w := (e - ml.dwellE) / (now - ml.dwellT).Seconds()
 	ml.steadyW = w
 	if ml.pendingPredW >= 0 {
@@ -368,10 +370,8 @@ func (m *mesoState) park(i int, ml *mesoLane, now time.Duration, idleW float64) 
 	}, now)
 	ml.phase = mesoParked
 	s.res.MesoDehydrations++
-	if s.grp != nil {
-		// A parking probe's measured draw calibrates its cohort bucket.
-		s.grp.probeParked(i, ml.steadyW, now, &m.drift)
-	}
+	// A parking probe's measured draw calibrates its cohort bucket.
+	s.grp.probeParked(i, ml.steadyW, now, &m.drift)
 }
 
 // unpark settles a parked lane's closed-form span into the shard's
@@ -479,9 +479,7 @@ func (m *mesoState) settle() {
 			m.unpark(i, now, false)
 		}
 	}
-	if s.grp != nil {
-		s.grp.settle(now)
-	}
+	s.grp.settle(now)
 	m.done = true
 	s.res.MesoWorstDriftFrac = m.drift.WorstFrac()
 	s.res.MesoDriftOK = m.drift.Check(s.spec.MesoDriftTolFrac) == nil

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,5 +168,31 @@ func TestMesoFaultedLaneStaysMechanistic(t *testing.T) {
 	}
 	if r.ThroughputMBps != float64(r.BytesCompleted)/1e6/r.SimulatedDur.Seconds() {
 		t.Fatal("throughput not derived from simulated duration")
+	}
+}
+
+// TestMesoRefusesToParkWithoutArrivals: parking a lane whose arrival
+// stream is missing or stopped would calibrate an operating point from
+// no traffic; beginDrain fails naming the lane instead of dereferencing
+// a nil stream, and the shard guard turns that into an error.
+func TestMesoRefusesToParkWithoutArrivals(t *testing.T) {
+	t.Parallel()
+	sp := mesoBase()
+	sp.Meso = true
+	s := buildOneShard(t, sp)
+	s.arrs[1] = nil
+	s.arrs[2].Stop()
+	for _, li := range []int{1, 2} {
+		ml := &s.meso.lanes[li]
+		err := guardShard(s.eng, func() error {
+			s.meso.beginDrain(li, ml, ml.prevE, s.spec.ControlPeriod)
+			return nil
+		})
+		if want := fmt.Sprintf("lane %d (group %d)", li, s.laneGroup[li]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("lane %d: want an error naming %q, got %v", li, want, err)
+		}
+		if ml.phase != mesoHydrated {
+			t.Fatalf("lane %d left hydrated (phase %d) despite the refusal", li, ml.phase)
+		}
 	}
 }

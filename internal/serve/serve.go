@@ -9,11 +9,13 @@
 // internal/fault injection, grouped into mirrored replica groups behind
 // adaptive.Redirectors. An open-loop request stream (internal/workload
 // arrivals) feeds per-group queues with admission control and request
-// batching, and the internal/adaptive control plane runs online: the
-// BudgetController re-plans every device's power state on each budget
-// step, per-device Governors enforce the planned draw in closed loop
-// (retrying through injected command faults), and Redirectors fail IO
-// over around dropped replicas.
+// batching, and the control plane runs online: a hull planner over
+// each shard's per-profile cohorts re-plans every device's power state
+// on each budget step (reserving the draw of devices that refuse the
+// command and re-planning the rest), per-device adaptive.Governors
+// enforce the planned draw in closed loop (retrying through injected
+// command faults), and Redirectors fail IO over around dropped
+// replicas.
 //
 // Determinism contract: the merged Report is bit-identical for the same
 // Spec regardless of GOMAXPROCS or worker scheduling. Shards derive
@@ -32,6 +34,7 @@ import (
 	"wattio/internal/calib"
 	"wattio/internal/fault"
 	"wattio/internal/grid"
+	"wattio/internal/sim"
 	"wattio/internal/stats"
 	"wattio/internal/workload"
 )
@@ -574,7 +577,11 @@ type Report struct {
 	WorstOverW float64
 	TrackOK    bool
 
-	GovSteps, GovRetries, GovFailures  int
+	GovSteps, GovRetries, GovFailures int
+	// Replans counts feasible budget plans applied, Infeasible the
+	// re-plans whose slice could not cover every member at its cheapest
+	// level, and Compensations the extra plan passes forced by devices
+	// refusing their power-state command (see groupState.apply).
 	Replans, Compensations, Infeasible int
 	Failovers, WakesOnDemand           int
 
@@ -648,7 +655,11 @@ func Run(spec Spec) (*Report, error) {
 	results := make([]*shardResult, sp.Shards)
 	errs := make([]error, sp.Shards)
 	grid.Pool(sp.Shards, runtime.GOMAXPROCS(0), func(i int) {
-		results[i], errs[i] = runShard(&sp, i, ranges[i], churnFor(churn, i))
+		eng := sim.NewEngine()
+		errs[i] = guardShard(eng, func() (err error) {
+			results[i], err = runShard(&sp, eng, i, ranges[i], churnFor(churn, i))
+			return err
+		})
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -656,6 +667,18 @@ func Run(spec Spec) (*Report, error) {
 		}
 	}
 	return merge(&sp, results), nil
+}
+
+// guardShard runs one shard body, turning a panic into an error that
+// names the simulated time it struck at: one broken shard fails its run
+// with an error instead of taking the process down.
+func guardShard(eng *sim.Engine, body func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic at simulated time %v: %v", eng.Now(), r)
+		}
+	}()
+	return body()
 }
 
 // merge folds the per-shard results in shard-index order, so every sum

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"wattio/internal/detcheck"
 	"wattio/internal/fault"
+	"wattio/internal/sim"
 )
 
 // TestScriptedFaults pins the spec-scripted fault path: the named
@@ -356,5 +358,25 @@ func TestReplicaFailover(t *testing.T) {
 	}
 	if rep.Completed == 0 {
 		t.Fatalf("no IO completed under faults")
+	}
+}
+
+// TestGuardShardRecoversPanic: a panic inside a shard body becomes an
+// error naming the simulated time it struck at (Run prefixes the shard
+// index), and a clean body's error passes through unchanged.
+func TestGuardShardRecoversPanic(t *testing.T) {
+	t.Parallel()
+	eng := sim.NewEngine()
+	eng.Post(1500*time.Millisecond, func() { panic("lane 3 exploded") })
+	err := guardShard(eng, func() error {
+		eng.RunUntil(2 * time.Second)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "simulated time 1.5s") || !strings.Contains(err.Error(), "lane 3 exploded") {
+		t.Fatalf("want an error naming 1.5s and the panic, got %v", err)
+	}
+	want := errors.New("plain failure")
+	if got := guardShard(eng, func() error { return want }); got != want {
+		t.Fatalf("clean error rewritten: %v", got)
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"wattio/internal/adaptive"
-	"wattio/internal/core"
 	"wattio/internal/device"
-	"wattio/internal/fault"
 	"wattio/internal/sim"
 	"wattio/internal/telemetry/invariant"
 	"wattio/internal/workload"
@@ -67,12 +65,8 @@ type shard struct {
 	eng  *sim.Engine
 	res  shardResult
 
-	devs  []device.Device // build order; wrapped with fault where drawn
-	names []string
-	maxW  []float64 // per-device planning-model max (governor fallback)
-	govs  []*adaptive.Governor
-	bc    *adaptive.BudgetController
-	plan  core.Assignment
+	devs []device.Device // build order; wrapped with fault where drawn
+	govs []*adaptive.Governor
 
 	redirs []*adaptive.Redirector
 	lanes  []*lane
@@ -90,7 +84,7 @@ type shard struct {
 
 	// devTotal is the shard's full device count including virtual group
 	// members; budget slices and cap bounds scale by it, not by the
-	// materialized len(devs). Equal to len(devs) outside group mode.
+	// materialized len(devs). Equal to len(devs) with no cohort virtual.
 	devTotal int
 	// liveDevs/fleetLive are the shard's and the fleet's live device
 	// counts — the budget-slice ratio. Equal to devTotal and Spec.Size
@@ -100,17 +94,12 @@ type shard struct {
 	// Lane-lifecycle state, nil/zero unless Spec.Churn is set (see
 	// lifecycle.go). laneFaultEnd is the end of each lane's last fault
 	// window (zero when unfaulted); laneRates the per-lane arrival
-	// schedule (rates scaled by Active); models the per-device planning
-	// models retained for controller rebuilds; retiredJ the frozen
-	// meters of retired devices; ctrlComp compensations folded from
-	// retired controllers.
+	// schedule (rates scaled by Active); retiredJ the frozen meters of
+	// retired devices.
 	lc           []laneLife
 	devDead      []bool
 	groupLane    map[int]int
-	models       []*core.Model
-	fcache       *adaptive.FleetCache
 	retiredJ     float64
-	ctrlComp     int
 	laneFaultEnd []time.Duration
 	laneRates    []workload.RateStep
 
@@ -125,6 +114,10 @@ type shard struct {
 	// of a build-time event per interval.
 	ivIdx   int
 	ivTimer *sim.Timer
+
+	// Invariant probes, nil unless Spec.CheckInvariants.
+	capProbe   *invariant.CapProbe
+	clockProbe *invariant.ClockProbe
 
 	// freeDone pools per-request completion records across the shard's
 	// lanes; the pool never grows past the shard's total in-flight depth.
@@ -155,10 +148,7 @@ func (s *shard) EnergyJ() float64 {
 	if s.meso != nil {
 		sum += s.meso.pool.DynEnergyJ(s.eng.Now())
 	}
-	if s.grp != nil {
-		sum += s.grp.pool.EnergyJ(s.eng.Now())
-	}
-	return sum
+	return sum + s.grp.pool.EnergyJ(s.eng.Now())
 }
 
 // lane is one replica group's request scheduler: an admission-bounded
@@ -306,38 +296,9 @@ func (l *lane) nextOffset() int64 {
 	return off
 }
 
-// applyBudget runs one model-based re-plan: the shard's slice of the
-// fleet budget (proportional to its device count) goes through the
-// BudgetController, and each device's governor is retargeted to the
-// planned draw so the feedback loop enforces the new plan between
-// steps.
-func (s *shard) applyBudget(fleetW float64) {
-	slice := fleetW * float64(s.liveDevs) / float64(s.fleetLive)
-	a, err := s.bc.Apply(slice)
-	if err != nil {
-		// Infeasible slice (or every pass stuck): keep the previous
-		// states rather than thrash; the report surfaces the count.
-		s.res.Infeasible++
-		return
-	}
-	s.res.Replans++
-	s.plan = a
-	for i, gv := range s.govs {
-		if gv != nil {
-			gv.SetBudget(s.planBudget(i))
-		}
-	}
-}
-
 // planBudget is device i's governor budget under the current plan.
 func (s *shard) planBudget(i int) float64 {
-	if s.grp != nil {
-		return s.grp.planW[i] * govGuard
-	}
-	if sample, ok := s.plan.Configs[s.names[i]]; ok && sample.PowerW > 0 {
-		return sample.PowerW * govGuard
-	}
-	return s.maxW[i] * govGuard
+	return s.grp.planW[i] * govGuard
 }
 
 // intervalBoundary is the virtual time interval k's accounting fires,
@@ -369,10 +330,20 @@ func (s *shard) intervalTick() {
 	}
 }
 
-// runShard builds and runs one shard to completion. ch is the shard's
-// compiled churn timeline (nil when the spec has none).
-func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, error) {
-	eng := sim.NewEngine()
+// runShard builds and runs one shard to completion on eng. ch is the
+// shard's compiled churn timeline (nil when the spec has none).
+func runShard(sp *Spec, eng *sim.Engine, idx int, rg shardRange, ch *shardChurn) (*shardResult, error) {
+	s, err := buildShard(sp, eng, idx, rg, ch)
+	if err != nil {
+		return nil, err
+	}
+	return s.run()
+}
+
+// buildShard materializes one shard at virtual time zero — devices,
+// lanes, the initial plan, governors, and every scheduled control
+// event — ready to run.
+func buildShard(sp *Spec, eng *sim.Engine, idx int, rg shardRange, ch *shardChurn) (*shard, error) {
 	rng := sim.NewRNG(sp.Seed ^ shardHash("serve/shard", idx))
 	frng := sim.NewRNG(sp.FaultSeed ^ shardHash("serve/fault", idx))
 	s := &shard{spec: sp, eng: eng}
@@ -387,37 +358,18 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 		}
 	}
 
-	// Build devices, planning models, replica groups, and lanes. In
-	// group mode (MesoGroupMin > 0) only resident groups materialize —
-	// planGroups decides residency and pre-draws every member's fault
-	// outcome first, so virtual members cost no device state at all.
-	scripted := scriptedFaults(sp)
-	var buildGroups []int
-	if sp.MesoGroupMin > 0 {
-		s.grp = planGroups(s, rng, frng, rg, scripted)
-		buildGroups = s.grp.buildGroups
-	} else {
-		buildGroups = make([]int, 0, rg.g1-rg.g0)
-		for g := rg.g0; g < rg.g1; g++ {
-			buildGroups = append(buildGroups, g)
-		}
-	}
-	for _, g := range buildGroups {
+	// Build devices, replica groups, and lanes. Only resident groups
+	// materialize — planGroups decides residency and pre-draws every
+	// member's fault outcome first, so virtual members cost no device
+	// state at all.
+	s.grp = planGroups(s, rng, frng, rg, scriptedFaults(sp))
+	for _, g := range s.grp.buildGroups {
 		profile := sp.Profiles[g%len(sp.Profiles)]
 		groupDevs := make([]device.Device, 0, sp.Replicas)
 		groupFaulted := false
 		var groupFaultEnd time.Duration
 		for rep := 0; rep < sp.Replicas; rep++ {
-			gi := g*sp.Replicas + rep
-			var d device.Device
-			var name string
-			var wins []fault.Window
-			var err error
-			if s.grp != nil {
-				d, name, wins, err = s.grp.materialize(profile, gi)
-			} else {
-				d, name, wins, err = materializeDevice(sp, eng, rng, frng, scripted, profile, gi)
-			}
+			d, wins, err := s.grp.materialize(profile, g*sp.Replicas+rep)
 			if err != nil {
 				return nil, err
 			}
@@ -430,18 +382,8 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 					}
 				}
 			}
-			if s.grp == nil {
-				// Per-device planning models feed the BudgetController;
-				// group mode plans over shared per-profile hulls instead.
-				m, err := planningModel(profile, name)
-				if err != nil {
-					return nil, err
-				}
-				s.models = append(s.models, m)
-			}
 			s.devs = append(s.devs, d)
-			s.names = append(s.names, name)
-			s.maxW = append(s.maxW, profileMaxW(profile))
+			s.grp.planW = append(s.grp.planW, profileMaxW(profile))
 			groupDevs = append(groupDevs, d)
 		}
 
@@ -470,18 +412,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 
 	// Initial plan, then one governor per device with selectable power
 	// states, targeted at its planned draw.
-	if s.grp != nil {
-		s.grp.finishBuild()
-	} else {
-		fleet, err := core.NewFleet(s.models...)
-		if err != nil {
-			return nil, err
-		}
-		if s.bc, err = adaptive.NewBudgetController(fleet, s.devs); err != nil {
-			return nil, err
-		}
-		s.applyBudget(sp.Budget[0].FleetW)
-	}
+	s.grp.finishBuild()
 	for i, d := range s.devs {
 		if len(d.PowerStates()) < 2 {
 			s.govs = append(s.govs, nil)
@@ -505,11 +436,7 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 			if s.meso != nil {
 				s.meso.rehydrateAll()
 			}
-			if s.grp != nil {
-				s.grp.apply(st.FleetW)
-			} else {
-				s.applyBudget(st.FleetW)
-			}
+			s.grp.apply(st.FleetW)
 		})
 	}
 
@@ -527,7 +454,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 	if ch != nil {
 		s.lc = make([]laneLife, len(s.lanes))
 		s.devDead = make([]bool, len(s.devs))
-		s.fcache = adaptive.NewFleetCache()
 		s.groupLane = make(map[int]int, len(s.lanes))
 		for i, g := range s.laneGroup {
 			s.groupLane[g] = i
@@ -551,8 +477,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 	s.prevE = s.EnergyJ()
 	s.ivTimer = eng.Schedule(s.intervalBoundary(1), s.intervalTick)
 
-	var capProbe *invariant.CapProbe
-	var clockProbe *invariant.ClockProbe
 	if sp.CheckInvariants {
 		// The cap bound is the largest budget slice this shard can ever
 		// hold: max over budget steps crossed with max over membership
@@ -573,8 +497,8 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 				maxSlice = slice
 			}
 		}
-		capProbe = invariant.AttachCap(eng, s, maxSlice*(1+sp.CapTolFrac), sp.ControlPeriod, sp.ControlPeriod/20)
-		clockProbe = invariant.AttachClock(eng, sp.ControlPeriod/2)
+		s.capProbe = invariant.AttachCap(eng, s, maxSlice*(1+sp.CapTolFrac), sp.ControlPeriod, sp.ControlPeriod/20)
+		s.clockProbe = invariant.AttachClock(eng, sp.ControlPeriod/2)
 	}
 
 	// Open-loop arrival stream per lane.
@@ -590,6 +514,13 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 		s.meso = newMeso(s)
 	}
 
+	return s, nil
+}
+
+// run drives a built shard through the horizon and the post-horizon
+// drain, and returns its contribution to the merged report.
+func (s *shard) run() (*shardResult, error) {
+	sp, eng := s.spec, s.eng
 	eng.RunUntil(sp.Horizon)
 
 	// Settle the analytic tier at the horizon, before governors are
@@ -607,14 +538,14 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 			gv.Stop()
 		}
 	}
-	if capProbe != nil {
-		capProbe.Stop()
-		s.res.CapWorstW = capProbe.WorstWindowW()
-		s.res.CapOK = capProbe.Check(0.02) == nil
+	if s.capProbe != nil {
+		s.capProbe.Stop()
+		s.res.CapWorstW = s.capProbe.WorstWindowW()
+		s.res.CapOK = s.capProbe.Check(0.02) == nil
 	}
-	if clockProbe != nil {
-		clockProbe.Stop()
-		if err := clockProbe.Check(); err != nil {
+	if s.clockProbe != nil {
+		s.clockProbe.Stop()
+		if err := s.clockProbe.Check(); err != nil {
 			return nil, err
 		}
 	}
@@ -633,9 +564,6 @@ func runShard(sp *Spec, idx int, rg shardRange, ch *shardChurn) (*shardResult, e
 		s.res.GovSteps += gv.Steps
 		s.res.GovRetries += gv.Retries
 		s.res.GovFailures += gv.Failures
-	}
-	if s.bc != nil {
-		s.res.Compensations = s.ctrlComp + s.bc.Compensations
 	}
 	for _, rd := range s.redirs {
 		s.res.Failovers += rd.Failovers
