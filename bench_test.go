@@ -9,6 +9,7 @@
 package wattio_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -224,8 +225,9 @@ func BenchmarkStandby(b *testing.B) {
 
 // BenchmarkFleetServe runs the fleet serving engine at the powerbench
 // -exp fleet defaults (stepped budget, no faults) and reports the
-// headline serving metrics; scripts/bench_fleet.sh turns the metrics
-// into BENCH_fleet.json for the CI bench-trajectory artifact.
+// headline serving metrics:
+//
+//	go test -run '^$' -bench '^BenchmarkFleetServe$' -benchtime 1x .
 func BenchmarkFleetServe(b *testing.B) {
 	spec, err := experiments.FleetSpec(benchScale)
 	if err != nil {
@@ -247,11 +249,13 @@ func BenchmarkFleetServe(b *testing.B) {
 
 // BenchmarkMesoServe pair-runs a 10k-device steady fleet with the
 // mesoscale tier off and then on, and reports the wall-clock speedup,
-// the dispatched-event reduction (the deterministic proxy CI gates
-// on), and the energy agreement between the two representations;
-// scripts/bench_meso.sh turns the metrics into BENCH_meso.json.
-// The arrival rate is turned down from the builtin scenario's so the
-// pure event-driven baseline stays affordable at this fleet size.
+// the dispatched-event reduction, and the energy agreement between the
+// two representations. It fails through mesoGate on the deterministic
+// quantities; the speedup is host-dependent and only reported. The
+// arrival rate is turned down from the builtin scenario's so the pure
+// event-driven baseline stays affordable at this fleet size:
+//
+//	go test -run '^$' -bench '^BenchmarkMesoServe$' -benchtime 1x -timeout 30m .
 func BenchmarkMesoServe(b *testing.B) {
 	sp := scenario.BuiltIn("meso")
 	sp.Fleet.Size = 10000
@@ -284,19 +288,37 @@ func BenchmarkMesoServe(b *testing.B) {
 	if hyb.MesoDriftOK {
 		driftOK = 1
 	}
+	ratio := float64(pure.Events) / float64(hyb.Events)
 	b.ReportMetric(pureNS/hybNS, "meso_speedup_x")
-	b.ReportMetric(float64(pure.Events)/float64(hyb.Events), "meso_event_ratio_x")
+	b.ReportMetric(ratio, "meso_event_ratio_x")
 	b.ReportMetric(diff*100, "meso_energy_diff_pct")
 	b.ReportMetric(float64(hyb.MesoParkedPeriods), "meso_parked_periods")
 	b.ReportMetric(driftOK, "meso_drift_ok")
+	if err := mesoGate(ratio, hyb.MesoDriftOK); err != nil {
+		b.Fatalf("meso: %v", err)
+	}
+}
+
+// mesoGate is BenchmarkMesoServe's acceptance: at least a 2x
+// dispatched-event reduction and a green sentinel drift probe.
+func mesoGate(eventRatio float64, driftOK bool) error {
+	if eventRatio < 2 {
+		return fmt.Errorf("event reduction %.2fx under the 2x gate", eventRatio)
+	}
+	if !driftOK {
+		return errors.New("sentinel drift probe failed")
+	}
+	return nil
 }
 
 // BenchmarkCalib calibrates every catalog class the calib scenario
 // covers, then pair-runs that scenario's mixed fleet with mechanistic
 // and fitted devices, and reports the worst cross-validated fit quality
-// plus the fleet-level power and throughput disagreement;
-// scripts/bench_calib.sh turns the metrics into BENCH_calib.json and
-// gates on the fit and agreement thresholds.
+// plus the fleet-level power and throughput disagreement. It fails
+// through calibGate on the fit and agreement thresholds; fit wall-clock
+// is host-dependent and only reported:
+//
+//	go test -run '^$' -bench '^BenchmarkCalib$' -benchtime 1x -timeout 30m .
 func BenchmarkCalib(b *testing.B) {
 	sp := scenario.BuiltIn("calib")
 	worstR2, worstMAPE := 1.0, 0.0
@@ -344,6 +366,25 @@ func BenchmarkCalib(b *testing.B) {
 	b.ReportMetric(powErr*100, "calib_fleet_power_diff_pct")
 	b.ReportMetric(tputErr*100, "calib_fleet_tput_diff_pct")
 	b.ReportMetric(fitNS/1e9, "calib_fit_s")
+	if err := calibGate(worstR2, worstMAPE*100, powErr*100); err != nil {
+		b.Fatalf("calib: %v", err)
+	}
+}
+
+// calibGate is BenchmarkCalib's acceptance: every class fits with a
+// cross-validated R² of at least 0.98 and a MAPE of at most 5%, and the
+// fitted fleet's average power is within 5% of the mechanistic one.
+func calibGate(worstR2, worstMAPEPct, powerDiffPct float64) error {
+	if worstR2 < 0.98 {
+		return fmt.Errorf("worst CV R2 %.4f under the 0.98 gate", worstR2)
+	}
+	if worstMAPEPct > 5 {
+		return fmt.Errorf("worst CV MAPE %.2f%% over the 5%% gate", worstMAPEPct)
+	}
+	if powerDiffPct > 5 {
+		return fmt.Errorf("fleet power disagreement %.2f%% over the 5%% gate", powerDiffPct)
+	}
+	return nil
 }
 
 // --- Ablations -----------------------------------------------------------
@@ -645,11 +686,14 @@ func BenchmarkAblationHostLink(b *testing.B) {
 // splits every cohort across hull levels, exercising the bucket-shaped
 // control scan). Each point reports peak live heap per device,
 // allocations per device, wall-clock seconds, and the plan-slot count —
-// the evidence that parked work scales with buckets, not lanes.
-// scripts/bench_scale.sh turns the series into BENCH_scale.json and
-// gates bytes/device at the million-device point. -short keeps only the
-// 10⁴ point, sized for CI smoke runs.
+// the evidence that parked work scales with buckets, not lanes. The
+// million-device point fails through perDeviceGate, and the series
+// through planSlotsGate. -short keeps only the 10⁴ point, sized for CI
+// smoke runs:
+//
+//	go test -run '^$' -bench '^BenchmarkScaleServe$' -benchtime 1x -timeout 30m .
 func BenchmarkScaleServe(b *testing.B) {
+	slots := map[int]float64{}
 	for _, size := range []int{10_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
 			if testing.Short() && size > 10_000 {
@@ -696,8 +740,45 @@ func BenchmarkScaleServe(b *testing.B) {
 			b.ReportMetric(float64(rep.MesoGroupScans), "scale_plan_slots")
 			b.ReportMetric(float64(rep.MesoGroupBuckets), "scale_buckets")
 			b.ReportMetric(float64(rep.MesoGroupLanes), "scale_virtual_lanes")
+			slots[size] = float64(rep.MesoGroupScans)
+			if size == 1_000_000 {
+				if err := perDeviceGate(float64(peakAlloc)/float64(size), float64(allocs)/float64(size)); err != nil {
+					b.Fatalf("n=%d: %v", size, err)
+				}
+			}
 		})
 	}
+	small, okS := slots[10_000]
+	large, okL := slots[1_000_000]
+	if okS && okL {
+		if err := planSlotsGate(small, large); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// perDeviceGate is the memory acceptance of the largest scale and churn
+// points: peak live heap under 10 KiB per device and under one
+// allocation per device (materialization costs per cohort or probe,
+// not per member).
+func perDeviceGate(bytesPerDevice, allocsPerDevice float64) error {
+	if bytesPerDevice >= 10240 {
+		return fmt.Errorf("%.0f bytes/device over the 10 KiB gate", bytesPerDevice)
+	}
+	if allocsPerDevice >= 1 {
+		return fmt.Errorf("%.3f allocs/device over the gate of 1", allocsPerDevice)
+	}
+	return nil
+}
+
+// planSlotsGate is BenchmarkScaleServe's series acceptance: plan slots
+// at 10⁶ devices at most twice those at 10⁴, so the control scan stays
+// bucket-shaped instead of growing with the fleet.
+func planSlotsGate(slots1e4, slots1e6 float64) error {
+	if slots1e6 > 2*slots1e4 {
+		return fmt.Errorf("plan slots grew with fleet size (%.0f at 10^4 vs %.0f at 10^6): scan is not bucket-shaped", slots1e4, slots1e6)
+	}
+	return nil
 }
 
 // BenchmarkChurnServe runs the lane-lifecycle tier at fleet scale: a
@@ -706,10 +787,11 @@ func BenchmarkScaleServe(b *testing.B) {
 // drains them back after it. Each point reports wall-clock seconds,
 // peak live heap and allocations per device, and the recovery
 // latencies — the evidence that membership churn rides the bucket
-// accounting instead of re-materializing the fleet.
-// scripts/bench_churn.sh turns the series into BENCH_churn.json and
-// gates wall and allocation cost at the 10⁵ point. -short keeps only
-// the 10⁴ point, sized for CI smoke runs.
+// accounting instead of re-materializing the fleet. The 10⁵ point fails
+// through perDeviceGate. -short keeps only the 10⁴ point, sized for CI
+// smoke runs:
+//
+//	go test -run '^$' -bench '^BenchmarkChurnServe$' -benchtime 1x -timeout 30m .
 func BenchmarkChurnServe(b *testing.B) {
 	for _, size := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
@@ -767,8 +849,39 @@ func BenchmarkChurnServe(b *testing.B) {
 			b.ReportMetric(float64(rep.ChurnAdds), "churn_adds")
 			b.ReportMetric(float64(rep.ChurnRemoves), "churn_removes")
 			b.ReportMetric(float64(rep.WarmupP50)/1e6, "churn_warmup_p50_ms")
+			b.ReportMetric(float64(rep.ChurnDrains), "churn_drains")
 			b.ReportMetric(float64(rep.DrainMax)/1e6, "churn_drain_max_ms")
 			b.ReportMetric(float64(rep.MesoGroupLanes), "churn_virtual_lanes")
+			if size == 100_000 {
+				if err := perDeviceGate(float64(peakAlloc)/float64(size), float64(allocs)/float64(size)); err != nil {
+					b.Fatalf("n=%d: %v", size, err)
+				}
+			}
 		})
+	}
+}
+
+// TestBenchGates proves every benchmark gate can fail: each passes at
+// its threshold and fails just over it, without running the fleets.
+func TestBenchGates(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		pass, fail error
+	}{
+		{"meso event ratio", mesoGate(2, true), mesoGate(1.99, true)},
+		{"meso drift probe", mesoGate(2, true), mesoGate(10, false)},
+		{"bytes per device", perDeviceGate(10239, 0), perDeviceGate(10240, 0)},
+		{"allocs per device", perDeviceGate(0, 0.999), perDeviceGate(0, 1)},
+		{"plan slots", planSlotsGate(96, 192), planSlotsGate(96, 193)},
+		{"calib R2", calibGate(0.98, 5, 5), calibGate(0.9799, 5, 5)},
+		{"calib MAPE", calibGate(0.98, 5, 5), calibGate(0.98, 5.01, 5)},
+		{"calib power diff", calibGate(0.98, 5, 5), calibGate(0.98, 5, 5.01)},
+	} {
+		if tc.pass != nil {
+			t.Errorf("%s: failed at its threshold: %v", tc.name, tc.pass)
+		}
+		if tc.fail == nil {
+			t.Errorf("%s: passed just over its threshold", tc.name)
+		}
 	}
 }

@@ -69,16 +69,16 @@ func run(argv []string, stdout, errw io.Writer) int {
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 		benchOut   = fs.String("benchout", "", "write per-experiment wall-clock timings as JSON to this file")
 
-		fleetSize   = fs.Int("fleet", 0, "fleet experiment: device count (0 = scenario/default)")
-		fleetRepl   = fs.Int("replicas", 0, "fleet experiment: replicas per mirror group (0 = scenario/default)")
-		fleetRate   = fs.Float64("rate", 0, "fleet experiment: arrival rate in IOPS per active device (0 = scenario/default)")
-		fleetBudget = fs.String("budget", "", "fleet experiment: budget schedule, e.g. \"0s:640,1s:448\" (\"pd\" suffix = per device)")
-		fleetFaults = fs.Float64("fleetfaults", 0, "fleet experiment: fraction of devices given an injected fault window")
-		fleetMeso   = fs.Bool("meso", false, "fleet experiment: serve steady lanes through the mesoscale analytic tier")
-		mesoDwell   = fs.Int("mesodwell", 0, "meso tier: steady control periods before a lane dehydrates (0 = default)")
-		mesoDrift   = fs.Float64("mesodrift", 0, "meso tier: sentinel drift tolerance fraction (0 = default)")
-		mesoGroup   = fs.Int("mesogroup", 0, "meso tier: group-park cohorts of at least this many devices behind probe lanes (0 = off; implies -meso)")
-		mesoProbes  = fs.Int("mesoprobes", 0, "meso tier: resident probe lanes per group-parked cohort (0 = default)")
+		fleetSize   = fs.Int("fleet", 0, "fleet.size: device count (0 = default)")
+		fleetRepl   = fs.Int("replicas", 0, "fleet.replicas: replicas per mirror group (0 = no mirroring)")
+		fleetRate   = fs.Float64("rate", 0, "fleet.rate_iops: arrival rate in IOPS per active device (0 = default)")
+		fleetBudget = fs.String("budget", "", "fleet.budget: budget schedule, e.g. \"0s:640,1s:448\" (\"pd\" suffix = per device, \"\" = stepped default)")
+		fleetFaults = fs.Float64("fleetfaults", 0, "fleet.fault_frac: fraction of devices given an injected fault window")
+		fleetMeso   = fs.Bool("meso", false, "fleet.meso.enable: serve steady lanes through the mesoscale analytic tier")
+		mesoDwell   = fs.Int("mesodwell", 0, "fleet.meso.dwell_periods: steady control periods before a lane dehydrates (0 = default)")
+		mesoDrift   = fs.Float64("mesodrift", 0, "fleet.meso.drift_tol_frac: sentinel drift tolerance fraction (0 = default)")
+		mesoGroup   = fs.Int("mesogroup", 0, "fleet.meso.group_min: group-park cohorts of at least this many devices behind probe lanes (0 = off; implies -meso)")
+		mesoProbes  = fs.Int("mesoprobes", 0, "fleet.meso.probes: resident probe lanes per group-parked cohort (0 = default)")
 		memWatch    = fs.Bool("mem", false, "print peak live-heap bytes and object count after the run (terminal only; host-dependent)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -120,6 +120,54 @@ func run(argv []string, stdout, errw io.Writer) int {
 	if set["faultseed"] {
 		sp.FaultSeed = *fseed
 	}
+	// The fleet flags write the spec's fleet (and fleet.meso) stanza,
+	// creating it when absent, before validation so a bad value gets
+	// the spec's path-named error.
+	mesoFlags := []string{"meso", "mesodwell", "mesodrift", "mesogroup", "mesoprobes"}
+	if anySet(set, "fleet", "replicas", "rate", "budget", "fleetfaults") || anySet(set, mesoFlags...) {
+		if sp.Fleet == nil {
+			sp.Fleet = &scenario.FleetSpec{}
+		}
+		f := sp.Fleet
+		if set["fleet"] {
+			f.Size = *fleetSize
+		}
+		if set["replicas"] {
+			f.Replicas = *fleetRepl
+		}
+		if set["rate"] {
+			f.RateIOPS = *fleetRate
+		}
+		if set["budget"] {
+			f.Budget = *fleetBudget
+		}
+		if set["fleetfaults"] {
+			f.FaultFrac = *fleetFaults
+		}
+		if anySet(set, mesoFlags...) {
+			if f.Meso == nil {
+				f.Meso = &scenario.MesoSpec{}
+			}
+			m := f.Meso
+			if set["meso"] {
+				m.Enable = *fleetMeso
+			} else if *mesoGroup > 0 {
+				m.Enable = true // group parking rides on the meso tier
+			}
+			if set["mesodwell"] {
+				m.DwellPeriods = *mesoDwell
+			}
+			if set["mesodrift"] {
+				m.DriftTolFrac = *mesoDrift
+			}
+			if set["mesogroup"] {
+				m.GroupMin = *mesoGroup
+			}
+			if set["mesoprobes"] {
+				m.Probes = *mesoProbes
+			}
+		}
+	}
 	if err := sp.Validate(); err != nil {
 		fmt.Fprintf(errw, "powerbench: %v\n", err)
 		return 2
@@ -133,20 +181,6 @@ func run(argv []string, stdout, errw io.Writer) int {
 	}
 
 	s := experiments.ScaleFor(sp)
-	// The fleet flags ride along as a second override layer; zero values
-	// mean "take the scenario's (or the experiment's default) value".
-	s.Fleet = experiments.FleetOptions{
-		Size:         *fleetSize,
-		Replicas:     *fleetRepl,
-		RateIOPS:     *fleetRate,
-		Budget:       *fleetBudget,
-		FaultFrac:    *fleetFaults,
-		Meso:         *fleetMeso,
-		MesoDwell:    *mesoDwell,
-		MesoDrift:    *mesoDrift,
-		MesoGroupMin: *mesoGroup,
-		MesoProbes:   *mesoProbes,
-	}
 
 	var todo []experiments.Experiment
 	if sp.Experiment == "all" {
@@ -323,4 +357,14 @@ func run(argv []string, stdout, errw io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *cpuProfile)
 	}
 	return 0
+}
+
+// anySet reports whether any of the named flags was set explicitly.
+func anySet(set map[string]bool, names ...string) bool {
+	for _, n := range names {
+		if set[n] {
+			return true
+		}
+	}
+	return false
 }

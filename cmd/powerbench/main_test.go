@@ -78,6 +78,51 @@ func TestScenarioFlagOverride(t *testing.T) {
 	if !strings.Contains(out, "fleet: 4 devices") {
 		t.Fatalf("-fleet 4 did not override the spec's size 8:\n%s", out)
 	}
+
+	// A zero or false flag is a value, not "unset": it must beat a
+	// spec that says otherwise.
+	faulted := writeSpec(t, "faulted.json", strings.Replace(tinySpec, `"rate_iops": 4000`, `"rate_iops": 4000, "fault_frac": 1`, 1))
+	if code, out, errw := runCLI("-scenario", faulted); code != 0 || !strings.Contains(out, "faulted 8)") {
+		t.Fatalf("faulted spec: exit %d, stderr %s\n%s", code, errw, out)
+	}
+	if code, out, errw := runCLI("-scenario", faulted, "-fleetfaults", "0"); code != 0 || !strings.Contains(out, "faulted 0)") {
+		t.Fatalf("-fleetfaults 0 did not clear the spec's fault_frac: exit %d, stderr %s\n%s", code, errw, out)
+	}
+	meso := writeSpec(t, "meso.json", strings.Replace(tinySpec, `"rate_iops": 4000`, `"rate_iops": 4000, "meso": {"enable": true}`, 1))
+	if code, out, errw := runCLI("-scenario", meso); code != 0 || !strings.Contains(out, "\nmeso:") {
+		t.Fatalf("meso spec: exit %d, stderr %s\n%s", code, errw, out)
+	}
+	if code, out, errw := runCLI("-scenario", meso, "-meso=false"); code != 0 || strings.Contains(out, "\nmeso:") {
+		t.Fatalf("-meso=false did not turn the spec's tier off: exit %d, stderr %s\n%s", code, errw, out)
+	}
+}
+
+// TestFleetFlagsCreateStanzas: a fleet flag over a spec without a fleet
+// stanza creates it, and -mesogroup implies -meso.
+func TestFleetFlagsCreateStanzas(t *testing.T) {
+	path := writeSpec(t, "bare.json", `{"version": 2, "name": "bare", "experiment": "fleet", "runtime": "250ms", "seed": 42, "fault_seed": 1}
+`)
+	code, out, errw := runCLI("-scenario", path, "-fleet", "32", "-rate", "4000", "-mesogroup", "8")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw)
+	}
+	for _, want := range []string{"fleet: 32 devices", "\nmeso:", "\nmeso group:"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestMesoExpHonorsFleetFlag: -exp meso runs the meso built-in, so a
+// fleet flag reaches it like any other spec override.
+func TestMesoExpHonorsFleetFlag(t *testing.T) {
+	code, out, errw := runCLI("-exp", "meso", "-fleet", "8")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errw)
+	}
+	if !strings.Contains(out, "fleet: 8 devices") {
+		t.Fatalf("-fleet 8 ignored by -exp meso:\n%s", out)
+	}
 }
 
 func TestScenarioUnknownFieldRejected(t *testing.T) {
@@ -91,14 +136,25 @@ func TestScenarioUnknownFieldRejected(t *testing.T) {
 	}
 }
 
+// TestScenarioValidationNamesPath: a bad value fails validation with
+// its spec path, whether it comes from the file or from a fleet flag
+// overriding it.
 func TestScenarioValidationNamesPath(t *testing.T) {
-	path := writeSpec(t, "bad.json", strings.Replace(tinySpec, `"rate_iops": 4000`, `"rate_iops": 4000, "budget": "0s:junk"`, 1))
-	code, _, errw := runCLI("-scenario", path)
-	if code != 2 {
-		t.Fatalf("bad budget accepted: exit %d", code)
-	}
-	if !strings.Contains(errw, "fleet.budget") {
-		t.Fatalf("error does not name the offending path: %s", errw)
+	bad := writeSpec(t, "bad.json", strings.Replace(tinySpec, `"rate_iops": 4000`, `"rate_iops": 4000, "budget": "0s:junk"`, 1))
+	tiny := writeSpec(t, "tiny.json", tinySpec)
+	for _, tc := range []struct {
+		args []string
+		path string
+	}{
+		{[]string{"-scenario", bad}, "fleet.budget"},
+		{[]string{"-scenario", tiny, "-budget", "0s:junk"}, "fleet.budget"},
+		{[]string{"-scenario", tiny, "-fleetfaults", "2"}, "fleet.fault_frac"},
+		{[]string{"-scenario", tiny, "-mesoprobes", "3"}, "fleet.meso.probes"},
+	} {
+		code, _, errw := runCLI(tc.args...)
+		if code != 2 || !strings.Contains(errw, tc.path) {
+			t.Errorf("%v: exit %d, want 2 naming %s; stderr: %s", tc.args, code, tc.path, errw)
+		}
 	}
 }
 

@@ -24,44 +24,11 @@ type Scale struct {
 	// fleet experiments, independently of Seed so the same workload can
 	// be replayed under different fault draws (and vice versa).
 	FaultSeed uint64
-	// Fleet carries the serving-engine knobs of the fleet experiment;
-	// zero values take that experiment's defaults. Non-zero fields
-	// override the attached Scenario (the CLI's flags-beat-spec rule).
-	Fleet FleetOptions
 	// Scenario optionally carries the full declarative spec the run was
 	// launched from; experiments that consume one (fleet, chaos, the
 	// modeling sweeps) read their parameters from it. Nil falls back to
 	// each experiment's built-in default scenario.
 	Scenario *scenario.Spec
-}
-
-// FleetOptions parameterizes the fleet serving experiment — the knobs
-// cmd/powerbench exposes as flags. Zero values take defaults.
-type FleetOptions struct {
-	// Size is the number of devices in the fleet.
-	Size int
-	// Replicas is the mirror-group size (1 = no redirection).
-	Replicas int
-	// RateIOPS is the open-loop arrival rate per active device.
-	RateIOPS float64
-	// Budget is a serve.ParseSchedule budget schedule ("0s:640,1s:448",
-	// with a "pd" per-device suffix); empty takes a stepped default.
-	Budget string
-	// FaultFrac is the fraction of devices given an injected fault
-	// window, drawn from FaultSeed.
-	FaultFrac float64
-	// Meso enables the mesoscale aggregation tier (hybrid analytic
-	// serving of steady lanes); MesoDwell and MesoDrift override its
-	// dwell-period and drift-tolerance thresholds when non-zero.
-	Meso      bool
-	MesoDwell int
-	MesoDrift float64
-	// MesoGroupMin enables group-level parking on top of the meso tier:
-	// cohorts of at least this many interchangeable devices keep only
-	// MesoProbes resident probe lanes and account the rest as shared
-	// analytic aggregates. Zero keeps every lane materialized.
-	MesoGroupMin int
-	MesoProbes   int
 }
 
 // Paper is the published methodology's scale.

@@ -16,58 +16,16 @@ func init() {
 // FleetSpec translates a Scale into the serving-engine spec the fleet
 // experiment runs: the attached scenario (or the built-in "fleet"
 // scenario when none is attached) materialized through the declarative
-// builder, with any non-zero legacy FleetOptions layered on top.
-// Exported so bench_test.go benchmarks exactly what powerbench runs.
+// builder at the Scale's seeds and runtime. Exported so bench_test.go
+// benchmarks exactly what powerbench runs.
 func FleetSpec(s Scale) (serve.Spec, error) {
 	sp := s.Scenario
 	if sp == nil {
 		sp = scenario.BuiltIn("fleet")
 	}
-	sp = sp.Clone()
-	if sp.Fleet == nil {
-		sp.Fleet = &scenario.FleetSpec{}
-	}
-	o := s.Fleet
-	if o.Size != 0 {
-		sp.Fleet.Size = o.Size
-	}
-	if o.Replicas != 0 {
-		sp.Fleet.Replicas = o.Replicas
-	}
-	if o.RateIOPS != 0 {
-		sp.Fleet.RateIOPS = o.RateIOPS
-	}
-	if o.Budget != "" {
-		sp.Fleet.Budget = o.Budget
-	}
-	if o.FaultFrac != 0 {
-		sp.Fleet.FaultFrac = o.FaultFrac
-	}
-	if o.Meso {
-		if sp.Fleet.Meso == nil {
-			sp.Fleet.Meso = &scenario.MesoSpec{}
-		}
-		sp.Fleet.Meso.Enable = true
-	}
-	if o.MesoGroupMin != 0 && sp.Fleet.Meso == nil {
-		sp.Fleet.Meso = &scenario.MesoSpec{Enable: true}
-	}
-	if sp.Fleet.Meso != nil {
-		if o.MesoDwell != 0 {
-			sp.Fleet.Meso.DwellPeriods = o.MesoDwell
-		}
-		if o.MesoDrift != 0 {
-			sp.Fleet.Meso.DriftTolFrac = o.MesoDrift
-		}
-		if o.MesoGroupMin != 0 {
-			sp.Fleet.Meso.GroupMin = o.MesoGroupMin
-		}
-		if o.MesoProbes != 0 {
-			sp.Fleet.Meso.Probes = o.MesoProbes
-		}
-	}
-	sp.Seed, sp.FaultSeed = s.Seed, s.FaultSeed
-	return sp.ServeSpec(s.Runtime)
+	run := *sp
+	run.Seed, run.FaultSeed = s.Seed, s.FaultSeed
+	return run.ServeSpec(s.Runtime)
 }
 
 func runFleet(s Scale, w io.Writer) error {
@@ -114,10 +72,9 @@ func runFleet(s Scale, w io.Writer) error {
 			rep.MesoGroupLanes, rep.MesoGroupBuckets, rep.MesoGroupScans, rep.MesoGroupJ)
 	}
 	if len(spec.Churn) > 0 {
-		fmt.Fprintf(w, "churn: %d groups admitted / %d retired, warm-up p50 %v max %v, drain p50 %v max %v\n",
+		fmt.Fprintf(w, "churn: %d groups admitted / %d retired, warm-up p50 %v max %v, %s\n",
 			rep.ChurnAdds, rep.ChurnRemoves,
-			rep.WarmupP50.Round(time.Millisecond), rep.WarmupMax.Round(time.Millisecond),
-			rep.DrainP50.Round(time.Millisecond), rep.DrainMax.Round(time.Millisecond))
+			rep.WarmupP50.Round(time.Millisecond), rep.WarmupMax.Round(time.Millisecond), drainStr(rep))
 	}
 	fmt.Fprintf(w, "invariants: power-cap probe %s (worst window %.1f W)\n", okStr(rep.CapOK), rep.CapWorstW)
 

@@ -12,12 +12,12 @@ import (
 // fleetScale keeps the serving run small enough for the unit suite
 // while still exercising replication, faults, and all three budget
 // phases.
-var fleetScale = Scale{
-	Runtime:   600 * time.Millisecond,
-	Seed:      42,
-	FaultSeed: 1,
-	Fleet:     FleetOptions{Size: 12, Replicas: 2, RateIOPS: 9000, FaultFrac: 0.25},
-}
+var fleetScale = func() Scale {
+	sp := scenario.BuiltIn("fleet")
+	sp.Runtime = scenario.Duration(600 * time.Millisecond)
+	sp.Fleet = &scenario.FleetSpec{Size: 12, Replicas: 2, RateIOPS: 9000, FaultFrac: 0.25}
+	return ScaleFor(sp)
+}()
 
 func TestFleetRuns(t *testing.T) {
 	e, ok := ByID("fleet")
@@ -55,7 +55,8 @@ func TestFleetDeterministicOutput(t *testing.T) {
 func TestFleetBadBudgetFlag(t *testing.T) {
 	e, _ := ByID("fleet")
 	s := fleetScale
-	s.Fleet.Budget = "0s:nonsense"
+	s.Scenario = s.Scenario.Clone()
+	s.Scenario.Fleet.Budget = "0s:nonsense"
 	var sb strings.Builder
 	if err := e.Run(s, &sb); err == nil {
 		t.Fatal("malformed budget schedule accepted")
@@ -80,8 +81,7 @@ func TestFleetSpecDefaults(t *testing.T) {
 
 // TestFleetSpecFromScenario checks the spec pipeline end to end: a
 // Scale carrying a declarative scenario materializes exactly the
-// serving spec the scenario describes, fault scripts included, and
-// legacy flag overrides still win over the spec.
+// serving spec the scenario describes, fault scripts included.
 func TestFleetSpecFromScenario(t *testing.T) {
 	s := Quick
 	s.Scenario = scenario.BuiltIn("stepped-budget")
@@ -98,15 +98,6 @@ func TestFleetSpecFromScenario(t *testing.T) {
 	}
 	if len(spec.Faults) != 1 || spec.Faults[0].Device != "SSD2#00003" {
 		t.Fatalf("scenario fault script not applied: %+v", spec.Faults)
-	}
-
-	s.Fleet.Size = 32
-	spec, err = FleetSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Size != 32 {
-		t.Fatalf("flag override lost to scenario: size %d, want 32", spec.Size)
 	}
 }
 

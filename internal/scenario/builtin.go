@@ -296,12 +296,12 @@ func BuiltInNames() []string {
 }
 
 // Default returns the built-in scenario a bare `-exp` invocation runs:
-// the experiment's own built-in when it has one (fleet, chaos), else
-// the paper-default suite narrowed to that experiment id.
+// the experiment's own built-in when it has one (fleet, chaos, meso,
+// churn, calib), else the paper-default suite narrowed to that
+// experiment id.
 func Default(expID string) *Spec {
-	switch expID {
-	case "fleet", "chaos":
-		return BuiltIn(expID)
+	if sp := BuiltIn(expID); sp != nil && sp.Experiment == expID {
+		return sp
 	}
 	sp := BuiltIn("paper-default")
 	sp.Experiment = expID

@@ -117,8 +117,10 @@ func TestDefault(t *testing.T) {
 	if sp := Default("fleet"); sp.Name != "fleet" || sp.Experiment != "fleet" {
 		t.Errorf("Default(fleet) = %q/%q", sp.Name, sp.Experiment)
 	}
-	if sp := Default("chaos"); sp.Name != "chaos" {
-		t.Errorf("Default(chaos) = %q", sp.Name)
+	for _, id := range []string{"chaos", "meso", "churn", "calib"} {
+		if sp := Default(id); sp.Name != id {
+			t.Errorf("Default(%s) = %q", id, sp.Name)
+		}
 	}
 	sp := Default("fig4")
 	if sp.Name != "paper-default" || sp.Experiment != "fig4" {

@@ -224,6 +224,30 @@ func TestChurnGroupParked(t *testing.T) {
 	}
 }
 
+// TestChurnDrainsCountResidentOnly: drain recovery covers mechanistic
+// drains only. A group-tier run whose removals all hit virtual members
+// records no drain (their queues are analytic), while a fully resident
+// run records one drain per removed group.
+func TestChurnDrainsCountResidentOnly(t *testing.T) {
+	t.Parallel()
+	grp, err := Run(churnGroupSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grp.ChurnRemoves == 0 || grp.ChurnDrains != 0 || grp.DrainMax != 0 {
+		t.Fatalf("all-virtual removals: %d removes, %d drains (max %v), want 0 drains",
+			grp.ChurnRemoves, grp.ChurnDrains, grp.DrainMax)
+	}
+	res, err := Run(churnSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChurnRemoves == 0 || res.ChurnDrains != res.ChurnRemoves {
+		t.Fatalf("fully resident run: %d removes, %d drains, want one drain per removal",
+			res.ChurnRemoves, res.ChurnDrains)
+	}
+}
+
 // TestChurnDeterministic: bit-identical reports across GOMAXPROCS on
 // the churning group-parked fleet — membership epochs, bucket count
 // changes, and diurnal rate steps all ride the per-shard engines.

@@ -474,9 +474,9 @@ func (g *groupState) addVirtual(ad laneAdd, at, warmAt time.Duration, now time.D
 // materialized member (probe or faulted resident, or a plain-built
 // group) drains mechanistically; a virtual member leaves its bucket at
 // the caller's re-plan — its analytic queue is empty by construction,
-// so its drain recovery is instantaneous. A member removed while still
-// warming leaves the idle bucket instead and decrements the newest
-// non-empty warm batch (scale-in pops the newest group numbers).
+// so it has no drain to record. A member removed while still warming
+// leaves the idle bucket instead and decrements the newest non-empty
+// warm batch (scale-in pops the newest group numbers).
 func (g *groupState) removeMember(rm churnRemove, now time.Duration) {
 	c := &g.cohorts[rm.pi]
 	c.count--
@@ -494,7 +494,6 @@ func (g *groupState) removeMember(rm churnRemove, now time.Duration) {
 		}
 		g.pool.SetIdleCount(g.warmKey(c), c.warming, g.warmOpW(c), now)
 	}
-	g.s.res.DrainLats = append(g.s.res.DrainLats, 0)
 }
 
 // warmBatchDone completes the warm batch of cohort pi admitted at

@@ -621,12 +621,14 @@ type Report struct {
 	// mid-run. Warm-up recovery latency is admission (the churn event)
 	// to a lane's first completed request — virtual cohort members
 	// report their modeled warm-up instead; drain recovery latency is
-	// the removal event to the last in-flight completion — instantaneous
-	// for virtual members, whose queue is analytic. Quantiles cover the
-	// groups whose transition completed inside the simulated window.
-	ChurnAdds, ChurnRemoves int
-	WarmupP50, WarmupMax    time.Duration
-	DrainP50, DrainMax      time.Duration
+	// the removal event to the last in-flight completion of a resident
+	// group. ChurnDrains counts those mechanistic drains: a virtual
+	// member's queue is analytic, so its removal records no drain.
+	// Quantiles cover the groups whose transition completed inside the
+	// simulated window.
+	ChurnAdds, ChurnRemoves, ChurnDrains int
+	WarmupP50, WarmupMax                 time.Duration
+	DrainP50, DrainMax                   time.Duration
 }
 
 // Run executes the serving engine and returns the merged report.
@@ -748,6 +750,7 @@ func merge(sp *Spec, results []*shardResult) *Report {
 	}
 	r.WarmupP50, r.WarmupMax = latQuantiles(warmLats)
 	r.DrainP50, r.DrainMax = latQuantiles(drainLats)
+	r.ChurnDrains = len(drainLats)
 
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	if n := len(lat); n > 0 {
