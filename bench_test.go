@@ -840,8 +840,8 @@ func BenchmarkChurnServe(b *testing.B) {
 				b.Fatalf("gates failed at n=%d: cap=%v track=%v drift=%v (worst %.4f)",
 					size, rep.CapOK, rep.TrackOK, rep.MesoDriftOK, rep.MesoWorstDriftFrac)
 			}
-			if rep.DrainMax >= spec.Horizon {
-				b.Fatalf("drain recovery %v never completed inside %v", rep.DrainMax, spec.Horizon)
+			if err := drainGate(rep.ChurnDrainsBegun, rep.ChurnDrains, rep.DrainMax, spec.Horizon); err != nil {
+				b.Fatalf("n=%d: %v", size, err)
 			}
 			b.ReportMetric(float64(peakAlloc)/float64(size), "churn_bytes_per_device")
 			b.ReportMetric(float64(allocs)/float64(size), "churn_allocs_per_device")
@@ -850,6 +850,7 @@ func BenchmarkChurnServe(b *testing.B) {
 			b.ReportMetric(float64(rep.ChurnRemoves), "churn_removes")
 			b.ReportMetric(float64(rep.WarmupP50)/1e6, "churn_warmup_p50_ms")
 			b.ReportMetric(float64(rep.ChurnDrains), "churn_drains")
+			b.ReportMetric(float64(rep.ChurnDrainsBegun), "churn_drains_begun")
 			b.ReportMetric(float64(rep.DrainMax)/1e6, "churn_drain_max_ms")
 			b.ReportMetric(float64(rep.MesoGroupLanes), "churn_virtual_lanes")
 			if size == 100_000 {
@@ -859,6 +860,95 @@ func BenchmarkChurnServe(b *testing.B) {
 			}
 		})
 	}
+}
+
+// drainGate is BenchmarkChurnServe's drain acceptance: every resident
+// drain a removal began completed, and inside the horizon. DrainMax
+// alone only sees completed drains, so a drain that never finished
+// would pass it.
+func drainGate(begun, completed int, drainMax, horizon time.Duration) error {
+	if completed != begun {
+		return fmt.Errorf("%d of %d resident drains never completed", begun-completed, begun)
+	}
+	if drainMax >= horizon {
+		return fmt.Errorf("drain recovery %v never completed inside %v", drainMax, horizon)
+	}
+	return nil
+}
+
+// faultFracs is BenchmarkFaultServe's fault-fraction ladder.
+var faultFracs = []float64{0, 0.001, 0.01, 0.05}
+
+// BenchmarkFaultServe is the fault-fraction ladder on the group tier: a
+// 10⁵-device fleet (powerbench -exp fleet -fleet 100000 -meso
+// -mesogroup 64 -mesoprobes 2 -rate 500 -fleetfaults F) at each
+// fraction F, reporting wall-clock seconds, dispatched events, and peak
+// live heap per device. The faulted members are what the kernel still
+// simulates, so the series is the fault-residency cost curve; the
+// deterministic events(1%)/events(0%) ratio fails through
+// faultEventsGate:
+//
+//	go test -run '^$' -bench '^BenchmarkFaultServe$' -benchtime 1x -timeout 30m .
+func BenchmarkFaultServe(b *testing.B) {
+	events := map[float64]float64{}
+	for _, frac := range faultFracs {
+		b.Run(fmt.Sprintf("faults=%g", frac), func(b *testing.B) {
+			sp := scenario.BuiltIn("fleet")
+			sp.Fleet.Size = 100_000
+			sp.Fleet.RateIOPS = 500
+			sp.Fleet.FaultFrac = frac
+			sp.Fleet.Meso = &scenario.MesoSpec{Enable: true, GroupMin: 64, Probes: 2}
+			spec, err := sp.ServeSpec(2 * time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var rep *serve.Report
+			var wallNS float64
+			var peakAlloc uint64
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				mw := telemetry.WatchMem(20 * time.Millisecond)
+				t0 := time.Now()
+				if rep, err = serve.Run(spec); err != nil {
+					b.Fatal(err)
+				}
+				wallNS = float64(time.Since(t0))
+				peakAlloc, _ = mw.Stop()
+			}
+			if (frac > 0) != (rep.Faulted > 0) || rep.MesoGroupLanes == 0 {
+				b.Fatalf("faults=%g: %d faulted, %d virtual lanes", frac, rep.Faulted, rep.MesoGroupLanes)
+			}
+			if !rep.CapOK || !rep.TrackOK || rep.Offered != rep.Admitted+rep.Rejected {
+				b.Fatalf("faults=%g: cap=%v track=%v offered %d admitted %d rejected %d",
+					frac, rep.CapOK, rep.TrackOK, rep.Offered, rep.Admitted, rep.Rejected)
+			}
+			b.ReportMetric(wallNS/1e9, "fault_wall_s")
+			b.ReportMetric(float64(rep.Events), "fault_events")
+			b.ReportMetric(float64(peakAlloc)/float64(spec.Size), "fault_bytes_per_device")
+			b.ReportMetric(float64(rep.Faulted), "fault_devices")
+			events[frac] = float64(rep.Events)
+		})
+	}
+	clean, okC := events[0]
+	faulted, okF := events[0.01]
+	if okC && okF {
+		if err := faultEventsGate(clean, faulted); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// faultEventsGate is BenchmarkFaultServe's series acceptance: at 1%
+// faults the fleet dispatches at most 30× the fault-free events. A
+// faulted member is simulated only for its fault span, about a quarter
+// of the run (≈20× measured); a fleet that keeps every faulted member
+// resident for the whole run dispatches ≈63×.
+func faultEventsGate(events0, events1pct float64) error {
+	if events1pct > 30*events0 {
+		return fmt.Errorf("1%% faults dispatched %.0f events, %.1fx the fault-free %.0f (gate 30x): faulted members are resident beyond their fault spans",
+			events1pct, events1pct/events0, events0)
+	}
+	return nil
 }
 
 // TestBenchGates proves every benchmark gate can fail: each passes at
@@ -876,6 +966,9 @@ func TestBenchGates(t *testing.T) {
 		{"calib R2", calibGate(0.98, 5, 5), calibGate(0.9799, 5, 5)},
 		{"calib MAPE", calibGate(0.98, 5, 5), calibGate(0.98, 5.01, 5)},
 		{"calib power diff", calibGate(0.98, 5, 5), calibGate(0.98, 5, 5.01)},
+		{"drains begun", drainGate(3, 3, time.Second, 2*time.Second), drainGate(4, 3, time.Second, 2*time.Second)},
+		{"drain inside horizon", drainGate(0, 0, 0, 2*time.Second), drainGate(1, 1, 2*time.Second, 2*time.Second)},
+		{"fault events ratio", faultEventsGate(1e6, 30e6), faultEventsGate(1e6, 30.01e6)},
 	} {
 		if tc.pass != nil {
 			t.Errorf("%s: failed at its threshold: %v", tc.name, tc.pass)

@@ -62,6 +62,9 @@ func runChurn(s Scale, w io.Writer) error {
 	if rep.ChurnRemoves == 0 {
 		return fmt.Errorf("churn: no replica group was ever drained and retired")
 	}
+	if rep.ChurnDrains != rep.ChurnDrainsBegun {
+		return fmt.Errorf("churn: %d of %d resident drains never completed", rep.ChurnDrainsBegun-rep.ChurnDrains, rep.ChurnDrainsBegun)
+	}
 	if rep.DrainMax >= spec.Horizon {
 		return fmt.Errorf("churn: drain recovery %v never completed inside the horizon %v", rep.DrainMax, spec.Horizon)
 	}
@@ -79,11 +82,12 @@ func runChurn(s Scale, w io.Writer) error {
 
 // drainStr renders drain recovery over the mechanistic drains only; a
 // run whose removals were all virtual has no resident drain to report,
-// which must read differently from a real 0s drain.
+// which must read differently from a real 0s drain, and a resident
+// drain that never completed shows against the drains begun.
 func drainStr(rep *serve.Report) string {
-	if rep.ChurnDrains == 0 {
+	if rep.ChurnDrainsBegun == 0 {
 		return "drain n/a (analytic)"
 	}
-	return fmt.Sprintf("drain p50 %v max %v over %d resident",
-		rep.DrainP50.Round(time.Millisecond), rep.DrainMax.Round(time.Millisecond), rep.ChurnDrains)
+	return fmt.Sprintf("drain p50 %v max %v over %d of %d resident begun",
+		rep.DrainP50.Round(time.Millisecond), rep.DrainMax.Round(time.Millisecond), rep.ChurnDrains, rep.ChurnDrainsBegun)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wattio/internal/detcheck"
+	"wattio/internal/fault"
 	"wattio/internal/workload"
 )
 
@@ -124,8 +125,8 @@ func TestChurnLifecycle(t *testing.T) {
 	if r.WarmupP50 < 100*time.Millisecond || r.WarmupMax >= r.SimulatedDur {
 		t.Fatalf("warm-up recovery %v..%v out of range", r.WarmupP50, r.WarmupMax)
 	}
-	if r.DrainMax >= r.SimulatedDur {
-		t.Fatalf("drain recovery %v never completed", r.DrainMax)
+	if r.DrainMax >= r.SimulatedDur || r.ChurnDrainsBegun != r.ChurnDrains {
+		t.Fatalf("drain recovery: %d of %d begun completed, max %v", r.ChurnDrains, r.ChurnDrainsBegun, r.DrainMax)
 	}
 	if r.Offered != r.Admitted+r.Rejected {
 		t.Fatalf("admission ledger: offered %d != admitted %d + rejected %d", r.Offered, r.Admitted, r.Rejected)
@@ -215,8 +216,8 @@ func TestChurnGroupParked(t *testing.T) {
 	if r.WarmupP50 != 100*time.Millisecond {
 		t.Fatalf("virtual warm-up p50 = %v, want the modeled 100ms", r.WarmupP50)
 	}
-	if r.DrainMax >= r.SimulatedDur {
-		t.Fatalf("drain recovery %v never completed", r.DrainMax)
+	if r.DrainMax >= r.SimulatedDur || r.ChurnDrainsBegun != r.ChurnDrains {
+		t.Fatalf("drain recovery: %d of %d begun completed, max %v", r.ChurnDrains, r.ChurnDrainsBegun, r.DrainMax)
 	}
 	if !r.CapOK || !r.TrackOK || !r.MesoDriftOK {
 		t.Fatalf("probes failed: cap=%v track=%v drift=%v (worst %.4f)",
@@ -234,17 +235,41 @@ func TestChurnDrainsCountResidentOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grp.ChurnRemoves == 0 || grp.ChurnDrains != 0 || grp.DrainMax != 0 {
-		t.Fatalf("all-virtual removals: %d removes, %d drains (max %v), want 0 drains",
-			grp.ChurnRemoves, grp.ChurnDrains, grp.DrainMax)
+	if grp.ChurnRemoves == 0 || grp.ChurnDrains != 0 || grp.ChurnDrainsBegun != 0 || grp.DrainMax != 0 {
+		t.Fatalf("all-virtual removals: %d removes, %d drains of %d begun (max %v), want 0 drains",
+			grp.ChurnRemoves, grp.ChurnDrains, grp.ChurnDrainsBegun, grp.DrainMax)
 	}
 	res, err := Run(churnSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ChurnRemoves == 0 || res.ChurnDrains != res.ChurnRemoves {
-		t.Fatalf("fully resident run: %d removes, %d drains, want one drain per removal",
-			res.ChurnRemoves, res.ChurnDrains)
+	if res.ChurnRemoves == 0 || res.ChurnDrains != res.ChurnRemoves || res.ChurnDrainsBegun != res.ChurnDrains {
+		t.Fatalf("fully resident run: %d removes, %d drains of %d begun, want one drain per removal",
+			res.ChurnRemoves, res.ChurnDrains, res.ChurnDrainsBegun)
+	}
+}
+
+// TestChurnDrainBegunOutlivesHorizon: the begun count is what makes
+// the drain gate able to fail. A removal whose lane is held by a
+// dropout runs past the horizon with a full queue, which nothing
+// dispatches after serving stops: the drain begins but never completes,
+// so ChurnDrains stays below ChurnDrainsBegun while DrainMax, which
+// sees completed drains only, reads clean.
+func TestChurnDrainBegunOutlivesHorizon(t *testing.T) {
+	t.Parallel()
+	sp := churnSpec()
+	sp.Replicas = 1
+	sp.Churn = []ChurnEvent{{At: 1800 * time.Millisecond, Profile: "SSD2", Remove: 1}}
+	// Scale-in pops the highest group number: 7.
+	sp.Faults = []DeviceFault{{Device: InstanceName("SSD2", 7), Windows: []fault.Window{
+		{Kind: fault.Dropout, Start: 1500 * time.Millisecond, Dur: time.Second},
+	}}}
+	r, err := Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ChurnDrainsBegun != 1 || r.ChurnDrains != 0 || r.DrainMax != 0 {
+		t.Fatalf("drains: %d of %d begun completed (max %v), want 0 of 1", r.ChurnDrains, r.ChurnDrainsBegun, r.DrainMax)
 	}
 }
 

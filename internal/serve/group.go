@@ -14,18 +14,18 @@ import (
 // Cohorts: a shard's lanes of one profile form a cohort of
 // interchangeable members, and every shard plans and decides residency
 // through them. With group parking on (Spec.MesoGroupMin), big cohorts
-// keep only a few resident probe lanes (plus any fault-injected
-// members) in mechanistic simulation; the rest are virtual — no
-// devices, no governors, no arrival streams — accounted by
-// meso.GroupPool buckets keyed (cohort, power state). Otherwise every
-// member is resident and the pool stays empty. Planning happens on
-// shared per-profile concave hulls (groupplan.go) in O(#buckets +
-// #residents); probes donate measured operating points to their bucket
-// when they park, and the energy the virtual population accrued before
-// its first calibration is backfilled retroactively into the shard's
-// interval accounting — always from a measurement, with the planning
-// table only as a settle-time fallback for buckets no probe ever
-// reached.
+// keep only a few resident probe lanes in mechanistic simulation, plus
+// each fault-injected member for its fault window alone (faultSpan);
+// the rest are virtual — no devices, no governors, no arrival streams —
+// accounted by meso.GroupPool buckets keyed (cohort, power state).
+// Otherwise every member is resident and the pool stays empty.
+// Planning happens on shared per-profile concave hulls (groupplan.go)
+// in O(#buckets + #residents); probes donate measured operating points
+// to their bucket when they park, and the energy the virtual population
+// accrued before its first calibration is backfilled retroactively into
+// the shard's interval accounting — always from a measurement, with the
+// planning table only as a settle-time fallback for buckets no probe
+// ever reached.
 //
 // Everything runs on the shard's single goroutine and virtual clock, so
 // the determinism contract is untouched: same spec, same report, at any
@@ -37,6 +37,22 @@ import (
 type preFault struct {
 	wins []fault.Window
 	ds   *sim.RNG
+}
+
+// faultSpan is one faulted member of a virtualized cohort. It is
+// resident only from `at` — the last control boundary before its first
+// fault window opens, or build when that is 0 — until its first clean
+// boundary past `end`, its last window's close; otherwise it is an
+// ordinary virtual member of its cohort's buckets. st holds the lane's
+// RNG streams, drawn at the member's build-order position so that no
+// other lane's draws shift. pending marks a member still waiting for
+// `at`; a churn removal before then clears it, and the member never
+// materializes.
+type faultSpan struct {
+	g, pi   int
+	at, end time.Duration
+	st      *laneStreams
+	pending bool
 }
 
 // warmBatch is one churn event's warming virtual members of a cohort:
@@ -76,14 +92,16 @@ type groupCohort struct {
 
 type groupState struct {
 	s    *shard
-	rng  *sim.RNG
 	pool *meso.GroupPool
 
 	// buildGroups is the ascending list of resident replica-group
-	// numbers runShard materializes; pre holds pre-drawn faults by
+	// numbers buildShard draws streams for — the faulted members of
+	// virtualized cohorts included, though most of those materialize
+	// later (spans, by group number); pre holds pre-drawn faults by
 	// device index.
 	buildGroups []int
 	pre         map[int]*preFault
+	spans       map[int]*faultSpan
 
 	cohorts    []groupCohort // indexed by profile index
 	laneCohort []int         // lane -> profile index
@@ -97,14 +115,14 @@ type groupState struct {
 // planGroups decides residency for every member of the shard's slice
 // and pre-draws faults, before any device exists. Residents are the
 // first MesoProbes non-faulted members of each virtualized cohort plus
-// every faulted member; a cohort virtualizes only when group parking is
-// on and it has at least MesoGroupMin members, otherwise it stays fully
-// resident. Fault draws run for ALL members in ascending instance
-// order, so the draw each member receives is independent of how many
-// end up materialized.
-func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string][]fault.Window) *groupState {
+// every faulted member, which holds a faultSpan; a cohort virtualizes
+// only when group parking is on and it has at least MesoGroupMin
+// members, otherwise it stays fully resident. Fault draws run for ALL
+// members in ascending instance order, so the draw each member receives
+// is independent of how many end up materialized.
+func planGroups(s *shard, frng *sim.RNG, rg shardRange, scripted map[string][]fault.Window) *groupState {
 	sp := s.spec
-	g2 := &groupState{s: s, rng: rng, pre: map[int]*preFault{}}
+	g2 := &groupState{s: s, pre: map[int]*preFault{}, spans: map[int]*faultSpan{}}
 	g2.pool = meso.NewGroupPool(sp.RateIOPS*float64(sp.Active), sp.ChunkBytes)
 
 	P := len(sp.Profiles)
@@ -123,6 +141,7 @@ func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string
 			}
 		}
 	}
+	s.res.Faulted = len(g2.pre)
 
 	g2.cohorts = make([]groupCohort, P)
 	resident := make(map[int]bool)
@@ -142,8 +161,11 @@ func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string
 		probes := 0
 		for g := first; g < rg.g1; g += P {
 			switch {
-			case !c.virtual, faultedGroup[g]:
+			case !c.virtual:
 				resident[g] = true
+			case faultedGroup[g]:
+				resident[g] = true
+				g2.spans[g] = g2.newSpan(g, pi)
 			case probes < sp.MesoProbes:
 				resident[g] = true
 				probes++
@@ -158,29 +180,81 @@ func planGroups(s *shard, rng, frng *sim.RNG, rg shardRange, scripted map[string
 	return g2
 }
 
-// materialize builds one resident member's device, applying its
-// pre-drawn fault windows (returned for the caller's barred-until
-// bookkeeping; empty when unfaulted).
-func (g *groupState) materialize(profile string, gi int) (device.Device, []fault.Window, error) {
+// faultWindow spans replica group gnum's pre-drawn fault windows: the
+// earliest start and the latest end over its replicas. ok is false for
+// an unfaulted group.
+func (g *groupState) faultWindow(gnum int) (start, end time.Duration, ok bool) {
+	r := g.s.spec.Replicas
+	for gi := gnum * r; gi < (gnum+1)*r; gi++ {
+		pf := g.pre[gi]
+		if pf == nil {
+			continue
+		}
+		for _, w := range pf.wins {
+			if !ok || w.Start < start {
+				start = w.Start
+			}
+			if w.End() > end {
+				end = w.End()
+			}
+			ok = true
+		}
+	}
+	return start, end, ok
+}
+
+// newSpan schedules faulted member gnum's residency: from the last
+// control boundary before its first window opens (0 for a window
+// opening within the first period), so its devices exist and hold a
+// planned level before the fault strikes. A span starting at or past
+// the horizon never opens.
+func (g *groupState) newSpan(gnum, pi int) *faultSpan {
+	sp := g.s.spec
+	start, end, _ := g.faultWindow(gnum)
+	var at time.Duration
+	if start > 0 {
+		at = (start - 1) / sp.ControlPeriod * sp.ControlPeriod
+	}
+	return &faultSpan{g: gnum, pi: pi, at: at, end: end, pending: at > 0 && at < sp.Horizon}
+}
+
+// deferred reports whether group gnum's build-time streams are stashed
+// for a span that materializes after build (or never).
+func (g *groupState) deferred(gnum int) (*faultSpan, bool) {
+	fs := g.spans[gnum]
+	return fs, fs != nil && fs.at > 0
+}
+
+// windowed reports whether resident lane li is a fault-window member,
+// which re-parks into its bucket after recovery instead of parking per
+// lane.
+func (g *groupState) windowed(li int) bool {
+	return g.spans[g.s.laneGroup[li]] != nil
+}
+
+// materialize builds one resident member's device on its stream ds,
+// wrapped with its pre-drawn fault windows when it has any.
+func (g *groupState) materialize(profile string, gi int, ds *sim.RNG) (device.Device, error) {
 	name := InstanceName(profile, gi)
-	d, err := baseDevice(g.s.spec, g.s.eng, g.rng, profile, name)
+	d, err := baseDevice(g.s.spec, g.s.eng, ds, profile, name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pf, ok := g.pre[gi]
 	if !ok {
-		return d, nil, nil
+		return d, nil
 	}
 	fd, err := fault.New(d, g.s.eng, pf.ds.Stream("inject"), fault.Profile{Windows: pf.wins})
 	if err != nil {
-		return nil, nil, fmt.Errorf("fault windows for %s: %w", name, err)
+		return nil, fmt.Errorf("fault windows for %s: %w", name, err)
 	}
-	return fd, pf.wins, nil
+	return fd, nil
 }
 
-// finishBuild runs after the resident lanes exist: map lanes to cohort
-// slots (probes ahead of barred members, each in build order) and apply
-// the initial plan.
+// finishBuild runs after the build-time resident lanes exist: map lanes
+// to cohort slots (probes ahead of barred members, each in build order)
+// and apply the initial plan. Members whose fault span opens later are
+// counted neither as residents nor as never-materialized lanes.
 func (g *groupState) finishBuild() {
 	s := g.s
 	P := len(s.spec.Profiles)
@@ -190,7 +264,7 @@ func (g *groupState) finishBuild() {
 	for li, gnum := range s.laneGroup {
 		pi := gnum % P
 		g.laneCohort[li] = pi
-		if s.laneFaulted[li] {
+		if _, _, faulted := g.faultWindow(gnum); faulted {
 			barred[pi] = append(barred[pi], li)
 		} else {
 			g.cohorts[pi].resOrder = append(g.cohorts[pi].resOrder, li)
@@ -206,6 +280,11 @@ func (g *groupState) finishBuild() {
 			g.laneResIdx[li] = k
 		}
 		virtual += c.count - len(c.resOrder)
+	}
+	for _, fs := range g.spans {
+		if fs.pending {
+			virtual--
+		}
 	}
 	s.res.MesoGroupLanes = virtual
 	g.apply(s.spec.Budget[0].FleetW)
@@ -322,7 +401,7 @@ func (g *groupState) apply(fleetW float64) {
 			s.res.MesoGroupScans += len(c.hull)
 		}
 		for j, n := range dist[pi] {
-			key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
+			key := g.levelKey(c, j)
 			if n > 0 || g.pool.Count(key) > 0 {
 				g.pool.SetCount(key, n, now)
 			}
@@ -437,19 +516,58 @@ func (g *groupState) holdStuck(li int) float64 {
 	return sum
 }
 
-// addResident enrolls a lane admitted by churn into its fully resident
-// cohort: it joins resOrder behind the build-time residents, and the
-// caller's re-plan gives it a level.
+// addResident enrolls a lane materialized mid-run into cohort pi: it
+// joins resOrder behind the residents already there. A lane admitted by
+// churn gets its level from the caller's re-plan, a fault-window member
+// from adopt.
 func (g *groupState) addResident(li, pi int) {
 	c := &g.cohorts[pi]
-	c.count++
 	g.laneCohort = append(g.laneCohort, pi)
 	g.laneResIdx = append(g.laneResIdx, len(c.resOrder))
 	c.resOrder = append(c.resOrder, li)
 	c.resLevel = append(c.resLevel, 0)
-	for rep := 0; rep < g.s.spec.Replicas; rep++ {
-		g.planW = append(g.planW, profileMaxW(c.profile))
+}
+
+// adopt hands freshly materialized lane li one virtual member of its
+// cohort: the most populated serving bucket gives up a member, the lane
+// takes that level, and its governors the level's draw. No re-plan
+// runs — the cohort's distribution is unchanged, one member just
+// changed representation. The member's fault window has not opened
+// yet, so its devices accept the command.
+func (g *groupState) adopt(li int, now time.Duration) {
+	s := g.s
+	c := &g.cohorts[g.laneCohort[li]]
+	best, bestN := -1, 0
+	for j := range c.hull {
+		if n := g.pool.Count(g.levelKey(c, j)); n > bestN {
+			best, bestN = j, n
+		}
 	}
+	if best < 0 {
+		panic(fmt.Sprintf("serve: cohort %s has no virtual member for group %d to adopt", c.profile, s.laneGroup[li]))
+	}
+	g.pool.SetCount(g.levelKey(c, best), bestN-1, now)
+	g.assignResident(c, g.laneResIdx[li], best)
+	r := s.spec.Replicas
+	for di := li * r; di < (li+1)*r; di++ {
+		if gv := s.govs[di]; gv != nil {
+			gv.SetBudget(s.planBudget(di))
+		}
+	}
+}
+
+// release returns resident lane li's member to the bucket of the level
+// it holds, as a virtual member from now on; the caller retires the
+// lane. Like adopt, it moves representation without a re-plan.
+func (g *groupState) release(li int, now time.Duration) {
+	c := &g.cohorts[g.laneCohort[li]]
+	key := g.levelKey(c, c.resLevel[g.laneResIdx[li]])
+	g.pool.SetCount(key, g.pool.Count(key)+1, now)
+}
+
+// levelKey is the serving bucket of cohort c at hull level j.
+func (g *groupState) levelKey(c *groupCohort, j int) meso.GroupKey {
+	return meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
 }
 
 // addVirtual admits one churned replica group as a virtual cohort
@@ -474,15 +592,20 @@ func (g *groupState) addVirtual(ad laneAdd, at, warmAt time.Duration, now time.D
 // materialized member (probe or faulted resident, or a plain-built
 // group) drains mechanistically; a virtual member leaves its bucket at
 // the caller's re-plan — its analytic queue is empty by construction,
-// so it has no drain to record. A member removed while still warming
+// so it has no drain to record. A faulted member whose span has not
+// opened yet never materializes. A member removed while still warming
 // leaves the idle bucket instead and decrements the newest non-empty
 // warm batch (scale-in pops the newest group numbers).
 func (g *groupState) removeMember(rm churnRemove, now time.Duration) {
 	c := &g.cohorts[rm.pi]
 	c.count--
-	if _, resident := g.s.groupLane[rm.g]; resident {
-		g.s.beginRemove(rm.g, now)
+	if li, resident := g.s.groupLane[rm.g]; resident {
+		g.s.beginRemove(li, now, true)
 		return
+	}
+	if fs := g.spans[rm.g]; fs != nil && fs.pending {
+		fs.pending = false
+		g.s.res.MesoGroupLanes++
 	}
 	if rm.warming {
 		c.warming--
@@ -528,7 +651,7 @@ func (g *groupState) warmBatchDone(pi int, at, warmAt time.Duration, now time.Du
 func (g *groupState) probeParked(lane int, watts float64, now time.Duration, drift *invariant.DriftProbe) {
 	c := &g.cohorts[g.laneCohort[lane]]
 	j := c.resLevel[g.laneResIdx[lane]]
-	key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
+	key := g.levelKey(c, j)
 	if !g.pool.Has(key) {
 		return // no virtual members ever held this level
 	}
@@ -578,7 +701,7 @@ func (g *groupState) settle(now time.Duration) {
 	for pi := range g.cohorts {
 		c := &g.cohorts[pi]
 		for j := range c.hull {
-			key := meso.GroupKey{Cohort: c.pi, State: c.hull[j].level}
+			key := g.levelKey(c, j)
 			if !g.pool.Has(key) || g.pool.Calibrated(key) {
 				continue
 			}

@@ -192,19 +192,22 @@ func TestCompensationReservesStuckLane(t *testing.T) {
 				sp.Meso, sp.MesoGroupMin = true, 8
 			}
 			s := buildOneShard(t, sp)
-			li := -1
-			for i, g := range s.laneGroup {
-				if g == stuckGroup {
-					li = i
-				}
-			}
-			if li < 0 {
-				t.Fatal("faulted group did not materialize")
-			}
 			checked := false
-			// Posted after build, so it fires after the step's re-plan.
+			// Posted after build, so it fires after the step's re-plan —
+			// and, with group parking on, after the faulted member's
+			// fault span materialized it at 700 ms.
 			s.eng.Post(time.Second, func() {
 				checked = true
+				li := -1
+				for i, g := range s.laneGroup {
+					if g == stuckGroup {
+						li = i
+					}
+				}
+				if li < 0 {
+					t.Error("faulted group did not materialize")
+					return
+				}
 				if got := s.grp.planW[li]; got != 14.4 {
 					t.Errorf("stuck lane planned at %.2f W, want its 14.4 W stuck estimate", got)
 				}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wattio/internal/adaptive"
-	"wattio/internal/device"
 	"wattio/internal/sim"
 	"wattio/internal/workload"
 )
@@ -69,11 +68,13 @@ type shardChurn struct {
 // laneLife is one materialized lane's lifecycle state.
 type laneLife struct {
 	// removing marks a lane draining toward retirement; dead marks the
-	// drain complete (devices retired, energy frozen). warmPending marks
-	// a churned lane whose first completion will record its warm-up
-	// recovery latency.
-	removing, dead, warmPending bool
-	drainFrom, warmFrom         time.Duration
+	// drain complete (devices retired, energy frozen). churnDrain marks
+	// a scale-in removal's drain — not a fault-window member's drain back
+	// into its bucket — whose recovery latency the report records.
+	// warmPending marks a churned lane whose first completion will
+	// record its warm-up recovery latency.
+	removing, dead, churnDrain, warmPending bool
+	drainFrom, warmFrom                     time.Duration
 }
 
 // compileChurn lowers the spec's churn schedule into per-shard epochs.
@@ -246,57 +247,22 @@ func (s *shard) rateStep(rs workload.RateStep) {
 	s.grp.pool.Recalibrate(now)
 }
 
-// admitLane materializes one churned replica group as a live lane of
-// its fully resident cohort: devices, redirector, governors, arrival
-// stream — all drawn from a fresh RNG root keyed by the global group
-// number, so the lane's behavior is independent of join order and of
-// every other lane's stream position. Churned lanes take no fault
-// injection: the fault draw pass covers the build-time fleet. Arrivals
-// do not start here; the warm event at warmAt does that, and the meso
-// tier bars the lane from parking until then.
-func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
+// admitLane materializes replica group g mid-run as a resident lane of
+// cohort pi, built from st: devices (with any pre-drawn fault),
+// redirector, governors at the profile's top draw, and a meso entry
+// barred from parking until barUntil. Churn admits fresh groups of
+// fully resident cohorts this way, and a virtualized cohort's faulted
+// member opens its fault span this way. Arrivals do not start here.
+func (s *shard) admitLane(g, pi int, st *laneStreams, barUntil time.Duration) (int, error) {
 	sp := s.spec
-	profile := sp.Profiles[pi]
-	lrng := sim.NewRNG(sp.Seed ^ shardHash("serve/churn", g))
-	groupDevs := make([]device.Device, 0, sp.Replicas)
 	d0 := len(s.devs)
-	for rep := 0; rep < sp.Replicas; rep++ {
-		gi := g*sp.Replicas + rep
-		name := InstanceName(profile, gi)
-		d, err := baseDevice(sp, s.eng, lrng, profile, name)
-		if err != nil {
-			return err
-		}
-		s.devs = append(s.devs, d)
-		s.devDead = append(s.devDead, false)
-		groupDevs = append(groupDevs, d)
+	li, err := s.buildLane(g, pi, st)
+	if err != nil {
+		return 0, err
 	}
-	target := groupDevs[0]
-	if sp.Replicas > 1 {
-		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.Active)
-		if err != nil {
-			return err
-		}
-		s.redirs = append(s.redirs, rd)
-		target = rd
-	}
-	span := target.CapacityBytes()
-	span -= span % sp.ChunkBytes
-	li := len(s.lanes)
-	s.lanes = append(s.lanes, &lane{
-		sh:   s,
-		idx:  li,
-		dev:  target,
-		rng:  lrng.Stream(fmt.Sprintf("lane%05d", g)),
-		span: span,
-	})
-	s.laneFaulted = append(s.laneFaulted, false)
-	s.laneFaultEnd = append(s.laneFaultEnd, 0)
-	s.laneGroup = append(s.laneGroup, g)
-	s.groupLane[g] = li
-	s.astreams = append(s.astreams, lrng.Stream("arrivals"))
+	s.astreams = append(s.astreams, st.arr)
 	s.arrs = append(s.arrs, nil)
-	s.lc = append(s.lc, laneLife{warmFrom: at})
+	s.lc = append(s.lc, laneLife{})
 	s.grp.addResident(li, pi)
 	for di := d0; di < len(s.devs); di++ {
 		d := s.devs[di]
@@ -306,29 +272,82 @@ func (s *shard) admitLane(g, pi int, at, warmAt time.Duration) error {
 		}
 		gv, err := adaptive.NewGovernor(s.eng, d, s.planBudget(di), sp.ControlPeriod)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		gv.Start()
 		s.govs = append(s.govs, gv)
 	}
 	if s.meso != nil {
-		s.meso.addLane(li, warmAt)
+		s.meso.addLane(li, barUntil)
 	}
+	return li, nil
+}
+
+// admitChurned admits one scale-out group into its fully resident
+// cohort. Its streams come from a fresh RNG root keyed by the global
+// group number, so the lane's behavior is independent of join order and
+// of every other lane's stream position. Churned lanes take no fault
+// injection: the fault draw pass covers the build-time fleet. The warm
+// event at warmAt starts its arrivals, and the meso tier bars the lane
+// from parking until then.
+func (s *shard) admitChurned(ad laneAdd, at, warmAt time.Duration) error {
+	lrng := sim.NewRNG(s.spec.Seed ^ shardHash("serve/churn", ad.g))
+	st := drawLaneStreams(s.spec, lrng, ad.pi, ad.g)
+	st.arr = lrng.Stream("arrivals")
+	s.grp.cohorts[ad.pi].count++
+	li, err := s.admitLane(ad.g, ad.pi, st, warmAt)
+	if err != nil {
+		return err
+	}
+	s.lc[li].warmFrom = at
 	return nil
 }
 
-// beginRemove starts draining group g's lane: its budget share is gone
-// (the caller re-plans without it), arrivals stop, and the lane serves
-// out its queued and in-flight work before retiring. A parked lane
-// settles its aggregate first; an empty lane retires on the spot.
-func (s *shard) beginRemove(g int, now time.Duration) {
-	li, ok := s.groupLane[g]
-	if !ok {
-		panic(fmt.Sprintf("serve: churn removes unmaterialized group %d", g))
+// openSpan materializes faulted member fs at its span's boundary: a
+// resident lane on its stashed streams takes one member from its
+// cohort's buckets (adopt) and starts serving, barred from parking
+// until its last window closes. Nothing happens when a churn removal
+// took the member first.
+func (s *shard) openSpan(fs *faultSpan) {
+	if !fs.pending {
+		return
 	}
+	fs.pending = false
+	li, err := s.admitLane(fs.g, fs.pi, fs.st, fs.end)
+	if err != nil {
+		panic(fmt.Sprintf("serve: fault span of group %d: %v", fs.g, err))
+	}
+	s.grp.adopt(li, s.eng.Now())
+	if err := s.startLaneArrivals(li); err != nil {
+		panic(fmt.Sprintf("serve: fault span of group %d: %v", fs.g, err))
+	}
+}
+
+// repark closes fault-window lane li's span at its first clean boundary
+// past its last window: its member returns to the bucket of the level
+// it holds, so the offered load continues analytically without a gap,
+// while the lane stops arrivals, drains its in-flight IO, and retires
+// like a churn removal — without counting as one.
+func (s *shard) repark(li int, now time.Duration) {
+	delete(s.groupLane, s.laneGroup[li])
+	s.grp.release(li, now)
+	s.beginRemove(li, now, false)
+}
+
+// beginRemove starts draining lane li: its budget share is gone (a
+// churn caller re-plans without it, a re-park has already returned it
+// to its bucket), arrivals stop, and the lane serves out its queued and
+// in-flight work before retiring. A parked lane settles its aggregate
+// first; an empty lane retires on the spot. churn marks a scale-in
+// removal, whose drain the report counts.
+func (s *shard) beginRemove(li int, now time.Duration, churn bool) {
 	lf := &s.lc[li]
 	lf.removing = true
+	lf.churnDrain = churn
 	lf.drainFrom = now
+	if churn {
+		s.res.ChurnDrainsBegun++
+	}
 	if s.meso != nil {
 		s.meso.evict(li, now)
 	}
@@ -342,8 +361,8 @@ func (s *shard) beginRemove(g int, now time.Duration) {
 
 // retireLane completes a drain: governors stop, each device's meter is
 // frozen into retiredJ (the shard's energy stays continuous — removed
-// devices just stop drawing), and the drain recovery latency lands in
-// the shard result.
+// devices just stop drawing), and a churn drain's recovery latency
+// lands in the shard result.
 func (s *shard) retireLane(li int, now time.Duration) {
 	lf := &s.lc[li]
 	if lf.dead {
@@ -358,7 +377,9 @@ func (s *shard) retireLane(li int, now time.Duration) {
 		s.retiredJ += s.devs[di].EnergyJ()
 		s.devDead[di] = true
 	}
-	s.res.DrainLats = append(s.res.DrainLats, now-lf.drainFrom)
+	if lf.churnDrain {
+		s.res.DrainLats = append(s.res.DrainLats, now-lf.drainFrom)
+	}
 }
 
 // laneCompleted runs on every request completion while the lifecycle is
@@ -389,7 +410,7 @@ func (s *shard) churnEpoch(ep churnEpoch) {
 	for _, ad := range ep.adds {
 		if s.grp.cohorts[ad.pi].virtual {
 			s.grp.addVirtual(ad, ep.at, ep.warmAt, now)
-		} else if err := s.admitLane(ad.g, ad.pi, ep.at, ep.warmAt); err != nil {
+		} else if err := s.admitChurned(ad, ep.at, ep.warmAt); err != nil {
 			panic(fmt.Sprintf("serve: churn admission of group %d: %v", ad.g, err))
 		}
 	}

@@ -54,10 +54,34 @@ func scriptedFaults(sp *Spec) map[string][]fault.Window {
 	return m
 }
 
+// laneStreams are the RNG streams one lane is built from: each
+// replica's device stream (nil for a fitted profile, which draws none),
+// the lane's offset stream, and its arrival stream.
+type laneStreams struct {
+	devs      []*sim.RNG
+	lane, arr *sim.RNG
+}
+
+// drawLaneStreams derives replica group g's device and lane streams
+// from root, in the order building the lane has always consumed them.
+// The arrival stream is the caller's: build-time lanes draw theirs only
+// after every lane's device and lane streams.
+func drawLaneStreams(sp *Spec, root *sim.RNG, pi, g int) *laneStreams {
+	profile := sp.Profiles[pi]
+	st := &laneStreams{devs: make([]*sim.RNG, sp.Replicas)}
+	if sp.Fitted[profile] == nil {
+		for rep := range st.devs {
+			st.devs[rep] = root.Stream(InstanceName(profile, g*sp.Replicas+rep))
+		}
+	}
+	st.lane = root.Stream(fmt.Sprintf("lane%05d", g))
+	return st
+}
+
 // baseDevice builds the unwrapped device model of one fleet instance:
 // a fitted surrogate when the spec maps the profile, else the catalog
-// simulator on its own derived stream.
-func baseDevice(sp *Spec, eng *sim.Engine, rng *sim.RNG, profile, name string) (device.Device, error) {
+// simulator on its own stream ds.
+func baseDevice(sp *Spec, eng *sim.Engine, ds *sim.RNG, profile, name string) (device.Device, error) {
 	if m := sp.Fitted[profile]; m != nil {
 		fd, err := calib.NewDevice(eng, m, name)
 		if err != nil {
@@ -65,7 +89,7 @@ func baseDevice(sp *Spec, eng *sim.Engine, rng *sim.RNG, profile, name string) (
 		}
 		return fd, nil
 	}
-	d, ok := catalog.NewNamed(profile, name, eng, rng.Stream(name))
+	d, ok := catalog.NewNamed(profile, name, eng, ds)
 	if !ok {
 		return nil, fmt.Errorf("unknown profile %q", profile)
 	}

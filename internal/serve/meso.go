@@ -110,7 +110,7 @@ func newMeso(s *shard) *mesoState {
 	m := &mesoState{s: s, pool: meso.NewPool(len(s.lanes)), lanes: make([]mesoLane, len(s.lanes))}
 	for i := range m.lanes {
 		ml := &m.lanes[i]
-		ml.barredUntil = s.laneFaultEnd[i]
+		_, ml.barredUntil, _ = s.grp.faultWindow(s.laneGroup[i])
 		ml.states = make([]int, s.spec.Replicas)
 		ml.idleW = make(map[string]float64)
 		ml.pendingPredW = -1
@@ -280,7 +280,15 @@ func (m *mesoState) tick() {
 				// dropout releases its held IOs all at once, and the
 				// backlog drain draws more than the steady regime, so
 				// the bar lifts only at the first clean (empty-queue)
-				// boundary and the dwell restarts from it.
+				// boundary and the dwell restarts from it. A
+				// fault-window member was resident only for the
+				// transient: it re-parks into its bucket here instead.
+				if s.grp.windowed(i) {
+					if !atEnd {
+						s.repark(i, now)
+					}
+					break
+				}
 				ml.barredUntil = 0
 				ml.dwell = 0
 			}

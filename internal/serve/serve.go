@@ -151,7 +151,7 @@ type Spec struct {
 	// control periods leaves event-driven simulation for an analytic
 	// aggregate calibrated from its own measured draw, rehydrating on
 	// budget steps, for periodic sentinel re-measurements, and at the
-	// horizon. Fault-injected lanes never park. MesoDriftTolFrac bounds
+	// horizon. Fault-injected lanes never park per lane. MesoDriftTolFrac bounds
 	// how far a sentinel re-measurement may disagree with the
 	// aggregate's calibrated draw before the lane is barred from
 	// parking again (and the report's MesoDriftOK trips). The default
@@ -166,8 +166,10 @@ type Spec struct {
 	// MesoGroupMin enables group-level parking (requires Meso): a shard
 	// cohort — the interchangeable, same-profile replica groups of its
 	// slice — with at least MesoGroupMin members keeps only MesoProbes
-	// resident probe lanes (plus any fault-injected members) in
-	// mechanistic simulation. Every other member is virtual: never
+	// resident probe lanes in mechanistic simulation; a fault-injected
+	// member is resident only from the control boundary before its first
+	// fault window until its first clean boundary after its last, then
+	// returns to its bucket. Every other member is virtual: never
 	// materialized, represented by a per-(cohort, power-state) bucket
 	// holding a member count and one calibrated operating point donated
 	// by the probes when they park. Budget steps re-plan over bucket
@@ -624,9 +626,13 @@ type Report struct {
 	// the removal event to the last in-flight completion of a resident
 	// group. ChurnDrains counts those mechanistic drains: a virtual
 	// member's queue is analytic, so its removal records no drain.
-	// Quantiles cover the groups whose transition completed inside the
-	// simulated window.
+	// ChurnDrainsBegun counts the resident drains a removal started; a
+	// drain that never completes shows as ChurnDrains < ChurnDrainsBegun.
+	// A fault-window member draining back into its bucket is no churn
+	// drain and counts in neither. Quantiles cover the groups whose
+	// transition completed inside the simulated window.
 	ChurnAdds, ChurnRemoves, ChurnDrains int
+	ChurnDrainsBegun                     int
 	WarmupP50, WarmupMax                 time.Duration
 	DrainP50, DrainMax                   time.Duration
 }
@@ -745,6 +751,7 @@ func merge(sp *Spec, results []*shardResult) *Report {
 		}
 		r.ChurnAdds += s.ChurnAdds
 		r.ChurnRemoves += s.ChurnRemoves
+		r.ChurnDrainsBegun += s.ChurnDrainsBegun
 		warmLats = append(warmLats, s.WarmupLats...)
 		drainLats = append(drainLats, s.DrainLats...)
 	}

@@ -47,8 +47,8 @@ type shardResult struct {
 	MesoGroupLanes, MesoGroupBuckets, MesoGroupScans int
 	MesoGroupJ                                       float64
 
-	ChurnAdds, ChurnRemoves int
-	WarmupLats, DrainLats   []time.Duration
+	ChurnAdds, ChurnRemoves, ChurnDrainsBegun int
+	WarmupLats, DrainLats                     []time.Duration
 
 	GovSteps, GovRetries, GovFailures  int
 	Replans, Compensations, Infeasible int
@@ -74,13 +74,12 @@ type shard struct {
 	// Per-lane arrival machinery, indexed like lanes. The stream objects
 	// are retained so a mesoscale rehydration can restart a lane's
 	// arrivals mid-stream instead of replaying the sequence from its
-	// seed. laneFaulted marks lanes containing a fault-injected device.
-	arrs        []*workload.Arrivals
-	astreams    []*sim.RNG
-	laneFaulted []bool
-	laneGroup   []int // global replica-group number behind each lane
-	meso        *mesoState
-	grp         *groupState
+	// seed.
+	arrs      []*workload.Arrivals
+	astreams  []*sim.RNG
+	laneGroup []int // global replica-group number behind each lane
+	meso      *mesoState
+	grp       *groupState
 
 	// devTotal is the shard's full device count including virtual group
 	// members; budget slices and cap bounds scale by it, not by the
@@ -91,17 +90,15 @@ type shard struct {
 	// until a churn epoch moves them.
 	liveDevs, fleetLive int
 
-	// Lane-lifecycle state, nil/zero unless Spec.Churn is set (see
-	// lifecycle.go). laneFaultEnd is the end of each lane's last fault
-	// window (zero when unfaulted); laneRates the per-lane arrival
-	// schedule (rates scaled by Active); retiredJ the frozen meters of
-	// retired devices.
-	lc           []laneLife
-	devDead      []bool
-	groupLane    map[int]int
-	retiredJ     float64
-	laneFaultEnd []time.Duration
-	laneRates    []workload.RateStep
+	// Lane-lifecycle state, nil/zero unless Spec.Churn is set or a
+	// fault span can retire a lane (see lifecycle.go). laneRates is the
+	// per-lane arrival schedule (rates scaled by Active); retiredJ the
+	// frozen meters of retired devices.
+	lc        []laneLife
+	devDead   []bool
+	groupLane map[int]int
+	retiredJ  float64
+	laneRates []workload.RateStep
 
 	inflight int
 	stopped  bool
@@ -330,6 +327,46 @@ func (s *shard) intervalTick() {
 	}
 }
 
+// buildLane constructs replica group g of cohort pi from its streams —
+// devices (each wrapped with its pre-drawn fault, if any), redirector,
+// and lane — and appends them to the shard. Governors, arrivals, and
+// plan membership are the caller's.
+func (s *shard) buildLane(g, pi int, st *laneStreams) (int, error) {
+	sp := s.spec
+	profile := sp.Profiles[pi]
+	groupDevs := make([]device.Device, 0, sp.Replicas)
+	for rep := 0; rep < sp.Replicas; rep++ {
+		d, err := s.grp.materialize(profile, g*sp.Replicas+rep, st.devs[rep])
+		if err != nil {
+			return 0, err
+		}
+		s.devs = append(s.devs, d)
+		s.grp.planW = append(s.grp.planW, profileMaxW(profile))
+		if s.devDead != nil {
+			s.devDead = append(s.devDead, false)
+		}
+		groupDevs = append(groupDevs, d)
+	}
+	target := groupDevs[0]
+	if sp.Replicas > 1 {
+		rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.Active)
+		if err != nil {
+			return 0, err
+		}
+		s.redirs = append(s.redirs, rd)
+		target = rd
+	}
+	span := target.CapacityBytes()
+	span -= span % sp.ChunkBytes
+	li := len(s.lanes)
+	s.lanes = append(s.lanes, &lane{sh: s, idx: li, dev: target, rng: st.lane, span: span})
+	s.laneGroup = append(s.laneGroup, g)
+	if s.groupLane != nil {
+		s.groupLane[g] = li
+	}
+	return li, nil
+}
+
 // runShard builds and runs one shard to completion on eng. ch is the
 // shard's compiled churn timeline (nil when the spec has none).
 func runShard(sp *Spec, eng *sim.Engine, idx int, rg shardRange, ch *shardChurn) (*shardResult, error) {
@@ -361,53 +398,19 @@ func buildShard(sp *Spec, eng *sim.Engine, idx int, rg shardRange, ch *shardChur
 	// Build devices, replica groups, and lanes. Only resident groups
 	// materialize — planGroups decides residency and pre-draws every
 	// member's fault outcome first, so virtual members cost no device
-	// state at all.
-	s.grp = planGroups(s, rng, frng, rg, scriptedFaults(sp))
+	// state at all. A faulted member whose span opens later draws its
+	// streams here, in build order, and keeps them for then.
+	s.grp = planGroups(s, frng, rg, scriptedFaults(sp))
 	for _, g := range s.grp.buildGroups {
-		profile := sp.Profiles[g%len(sp.Profiles)]
-		groupDevs := make([]device.Device, 0, sp.Replicas)
-		groupFaulted := false
-		var groupFaultEnd time.Duration
-		for rep := 0; rep < sp.Replicas; rep++ {
-			d, wins, err := s.grp.materialize(profile, g*sp.Replicas+rep)
-			if err != nil {
-				return nil, err
-			}
-			if len(wins) > 0 {
-				s.res.Faulted++
-				groupFaulted = true
-				for _, w := range wins {
-					if end := w.End(); end > groupFaultEnd {
-						groupFaultEnd = end
-					}
-				}
-			}
-			s.devs = append(s.devs, d)
-			s.grp.planW = append(s.grp.planW, profileMaxW(profile))
-			groupDevs = append(groupDevs, d)
+		pi := g % len(sp.Profiles)
+		st := drawLaneStreams(sp, rng, pi, g)
+		if fs, ok := s.grp.deferred(g); ok {
+			fs.st = st
+			continue
 		}
-
-		target := groupDevs[0]
-		if sp.Replicas > 1 {
-			rd, err := adaptive.NewRedirector(fmt.Sprintf("group%05d", g), groupDevs, sp.Active)
-			if err != nil {
-				return nil, err
-			}
-			s.redirs = append(s.redirs, rd)
-			target = rd
+		if _, err := s.buildLane(g, pi, st); err != nil {
+			return nil, err
 		}
-		span := target.CapacityBytes()
-		span -= span % sp.ChunkBytes
-		s.lanes = append(s.lanes, &lane{
-			sh:   s,
-			idx:  len(s.lanes),
-			dev:  target,
-			rng:  rng.Stream(fmt.Sprintf("lane%05d", g)),
-			span: span,
-		})
-		s.laneFaulted = append(s.laneFaulted, groupFaulted)
-		s.laneFaultEnd = append(s.laneFaultEnd, groupFaultEnd)
-		s.laneGroup = append(s.laneGroup, g)
 	}
 
 	// Initial plan, then one governor per device with selectable power
@@ -451,19 +454,28 @@ func buildShard(sp *Spec, eng *sim.Engine, idx int, rg shardRange, ch *shardChur
 			eng.Post(rs.At, func() { s.rateStep(rs) })
 		}
 	}
-	if ch != nil {
+	if ch != nil || len(s.grp.spans) > 0 {
 		s.lc = make([]laneLife, len(s.lanes))
 		s.devDead = make([]bool, len(s.devs))
 		s.groupLane = make(map[int]int, len(s.lanes))
 		for i, g := range s.laneGroup {
 			s.groupLane[g] = i
 		}
+	}
+	if ch != nil {
 		for _, ep := range ch.epochs {
 			ep := ep
 			eng.Post(ep.at, func() { s.churnEpoch(ep) })
 			if len(ep.adds) > 0 && ep.warmAt > ep.at {
 				eng.Post(ep.warmAt, func() { s.warmEpoch(ep) })
 			}
+		}
+	}
+	// Fault spans open after any co-timed budget step or churn epoch, so
+	// a member adopts the level in force and a removal cancels first.
+	for _, g := range s.grp.buildGroups {
+		if fs, ok := s.grp.deferred(g); ok && fs.pending {
+			eng.Post(fs.at, func() { s.openSpan(fs) })
 		}
 	}
 
@@ -501,11 +513,17 @@ func buildShard(sp *Spec, eng *sim.Engine, idx int, rg shardRange, ch *shardChur
 		s.clockProbe = invariant.AttachClock(eng, sp.ControlPeriod/2)
 	}
 
-	// Open-loop arrival stream per lane.
-	for i := range s.lanes {
-		s.astreams = append(s.astreams, rng.Stream(fmt.Sprintf("arrivals%05d", s.laneGroup[i])))
+	// Open-loop arrival stream per lane, drawn in build order.
+	for _, g := range s.grp.buildGroups {
+		arr := rng.Stream(fmt.Sprintf("arrivals%05d", g))
+		if fs, ok := s.grp.deferred(g); ok {
+			fs.st.arr = arr
+			continue
+		}
+		li := len(s.astreams)
+		s.astreams = append(s.astreams, arr)
 		s.arrs = append(s.arrs, nil)
-		if err := s.startLaneArrivals(i); err != nil {
+		if err := s.startLaneArrivals(li); err != nil {
 			return nil, err
 		}
 	}
