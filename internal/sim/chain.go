@@ -11,21 +11,24 @@ import (
 // busy-until horizon). Because the source's events are already in fire
 // order relative to each other, they do not need individual slots in
 // the engine's priority queue: the Chain buffers them in a ring and
-// keeps exactly one representative Timer in the heap, carrying the head
+// keeps exactly one representative Timer queued, carrying the head
 // event's (time, seq) key. Each fire pops the head and re-keys the
 // representative to the next event.
 //
 // This turns the dominant event class in device-saturated runs from a
-// heap push + pop over an O(pending-IO) queue into an O(1) ring append
-// and shrinks the heap to roughly one entry per resource, which is the
-// difference between sift loops walking DRAM and walking L1.
+// heap push + pop over an O(pending-IO) queue into an O(1) ring append.
+// Representatives live in a heap of their own (or on the timing wheel
+// when their head is beyond the near window), apart from the plain
+// timers, so re-keying one sifts past only the few chains due within
+// the window — the difference between sift loops walking DRAM and
+// walking L1.
 //
 // Determinism contract: Chain.Post consumes one scheduling sequence
 // number exactly like Engine.Post, and the representative always
 // carries the head's original (time, seq), so the global fire order —
 // including FIFO ordering among co-timed events on different chains or
 // plain timers — is bit-for-bit the order the same Posts would have
-// produced through the heap.
+// produced through a single heap.
 type Chain struct {
 	eng    *Engine
 	rep    *Timer
@@ -98,7 +101,7 @@ func (c *Chain) Len() int { return c.n }
 func (c *Chain) Parked() bool { return c.parked }
 
 // Park suspends the chain's dispatch: its representative leaves the
-// engine's queues (near heap, timing wheel, or overflow list) while
+// engine's queues (rep heap, timing wheel, or overflow list) while
 // every buffered event — times, sequence numbers, and callbacks — is
 // preserved in the ring. A parked chain accepts further Posts, which
 // buffer without arming. Parked events still count toward Pending, but
@@ -121,7 +124,7 @@ func (c *Chain) Park() {
 	e := c.eng
 	rep := c.rep
 	if rep.index >= 0 {
-		e.heapRemove(rep.index)
+		e.reps.remove(rep.index)
 	} else {
 		e.wheelRemove(rep)
 	}

@@ -10,9 +10,13 @@
 // experiment pushes ~10^8 events through it), so the kernel is built to
 // run allocation-free at steady state:
 //
-//   - the priority queue is an inlined 4-ary min-heap specialized to
+//   - the priority queues are inlined 4-ary min-heaps specialized to
 //     *Timer — no interface boxing, no container/heap dispatch, and a
 //     quarter of the sift depth of a binary heap;
+//   - serialized resources (Chain) keep one representative each, in a
+//     heap of their own: a fleet holds hundreds of idle plain timers
+//     (governor, probe, arrival, power-state timers) far in the future,
+//     and a die event re-keying its chain must not sift past them;
 //   - fire-and-forget events (Post/PostAfter) draw their Timer from a
 //     per-engine free list and return it after firing;
 //   - recurring work re-arms a single Timer in place (Reschedule,
@@ -29,11 +33,12 @@ import (
 	"wattio/internal/telemetry"
 )
 
-// heapGaugeMask amortizes the heap-depth telemetry gauge: the gauge is
-// refreshed once every heapGaugeMask+1 dispatches rather than on every
-// schedule and pop. The gauge is a monitoring aid, not an input to any
-// simulation result, so sampling it is free accuracy-wise; writing it
-// per event showed up in kernel profiles.
+// heapGaugeMask amortizes the heap-depth telemetry gauge (the entries
+// in the timer heap plus the rep heap; parked reps are not counted):
+// the gauge is refreshed once every heapGaugeMask+1 dispatches rather
+// than on every schedule and pop. The gauge is a monitoring aid, not an
+// input to any simulation result, so sampling it is free accuracy-wise;
+// writing it per event showed up in kernel profiles.
 const heapGaugeMask = 1023
 
 // Engine is a discrete-event scheduler over virtual time.
@@ -44,8 +49,14 @@ const heapGaugeMask = 1023
 // by design so that results are reproducible.
 type Engine struct {
 	now time.Duration
-	pq  []heapEntry // 4-ary min-heap ordered by (at, seq), times inline
-	seq uint64
+	// Two 4-ary min-heaps ordered by (at, seq). timers holds plain
+	// timers (Schedule, Post, Periodic); reps holds the representatives
+	// of chains whose head fires inside the near window. Every peek
+	// takes the smaller of the two roots, so fire order is the single
+	// global (at, seq) order however an event is carried.
+	timers heap4
+	reps   heap4
+	seq    uint64
 
 	free *Timer // free list of pooled (Post) timers
 
@@ -57,10 +68,10 @@ type Engine struct {
 	// Timing wheel holding chain representatives whose head event lies
 	// beyond the near window [wBase, wBase+wheelWidth). Parked reps cost
 	// O(1) to file and O(1) amortized to surface, versus a full-depth
-	// heap sift per re-key; the heap ("near heap") stays a few dozen
-	// entries deep even with thousands of concurrently busy resources.
-	// Invariant: every parked rep has at >= wBase+wheelWidth, so the
-	// near heap always holds the global minimum once ensureNear returns.
+	// heap sift per re-key; the rep heap stays a few entries deep even
+	// with thousands of concurrently busy resources.
+	// Invariant: every parked rep has at >= wBase+wheelWidth, so the two
+	// heap roots always hold the global minimum once ensureNear returns.
 	// Only chain reps park — they never Stop or Reschedule, so the wheel
 	// needs no removal path. The bucket array is allocated on first use.
 	wBase       time.Duration
@@ -127,8 +138,8 @@ type Timer struct {
 	seq    uint64
 	fn     func()
 	eng    *Engine
-	next   *Timer        // free-list link (pooled timers only)
-	index  int           // heap index, -1 when not queued
+	next   *Timer        // free-list or wheel-bucket link
+	index  int           // index in its heap (timers, or reps for a chain rep), -1 when not queued
 	period time.Duration // >0: auto re-arm after firing (Periodic)
 	chain  *Chain        // chain this timer represents, nil for plain timers
 
@@ -161,7 +172,7 @@ func (t *Timer) Stop() bool {
 	}
 	t.stopped = true
 	e := t.eng
-	e.heapRemove(t.index)
+	e.timers.remove(t.index)
 	e.cStopped.Inc()
 	if t.pooled {
 		t.recycle()
@@ -191,9 +202,9 @@ func (t *Timer) Reschedule(at time.Duration) {
 	t.seq = e.seq
 	e.seq++
 	if t.index >= 0 {
-		e.heapFix(t.index)
+		e.timers.fix(t.index)
 	} else {
-		e.heapPush(t)
+		e.timers.push(t)
 	}
 }
 
@@ -223,7 +234,7 @@ func (e *Engine) Schedule(at time.Duration, fn func()) *Timer {
 	e.checkSchedule(at, fn)
 	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e, index: -1}
 	e.seq++
-	e.heapPush(t)
+	e.timers.push(t)
 	return t
 }
 
@@ -255,7 +266,7 @@ func (e *Engine) Post(at time.Duration, fn func()) {
 	t.seq = e.seq
 	t.fn = fn
 	e.seq++
-	e.heapPush(t)
+	e.timers.push(t)
 }
 
 // PostAfter runs fn when d has elapsed, fire-and-forget (see Post).
@@ -279,7 +290,7 @@ func (e *Engine) Periodic(every time.Duration, fn func()) *Timer {
 	e.checkSchedule(at, fn)
 	t := &Timer{at: at, seq: e.seq, fn: fn, eng: e, index: -1, period: every}
 	e.seq++
-	e.heapPush(t)
+	e.timers.push(t)
 	return t
 }
 
@@ -302,11 +313,11 @@ const (
 	wheelSpan    = wheelWidth * wheelBuckets // ≈ 67 ms
 )
 
-// armRep files a chain representative: into the near heap when its head
+// armRep files a chain representative: into the rep heap when its head
 // fires inside the current window, onto the wheel otherwise.
 func (e *Engine) armRep(t *Timer) {
 	if t.at < e.wBase+wheelWidth {
-		e.heapPush(t)
+		e.reps.push(t)
 	} else {
 		e.park(t)
 	}
@@ -329,7 +340,7 @@ func (e *Engine) park(t *Timer) {
 	}
 	if e.wheelCnt == 0 && e.overflowCnt == 0 {
 		// Wheel empty: jump the window forward so a sparse schedule does
-		// not force events through the overflow list. Near-heap entries
+		// not force events through the overflow list. Rep-heap entries
 		// are unaffected — the near/far split applies only at arm time.
 		if b := t.at>>wheelShift<<wheelShift - wheelWidth; b > e.wBase {
 			e.wBase = b
@@ -351,7 +362,7 @@ func (e *Engine) park(t *Timer) {
 // the overflow list. It is the removal path Chain.Park needs: parked
 // reps never Stop or Reschedule, so nothing else removes them. The
 // bucket is recomputed from the rep's time; a rep whose bucket has come
-// due since it was filed would have been surfaced into the heap, so the
+// due since it was filed would have been surfaced into the rep heap, so the
 // computed bucket (falling back to the overflow list, which re-files
 // lazily) always finds it.
 func (e *Engine) wheelRemove(t *Timer) {
@@ -383,7 +394,7 @@ func listRemove(head **Timer, t *Timer) bool {
 }
 
 // wheelAdvance moves the near window forward one bucket, surfacing the
-// reps whose time has come into the near heap. Once per revolution the
+// reps whose time has come into the rep heap. Once per revolution the
 // overflow list is re-filed.
 func (e *Engine) wheelAdvance() {
 	e.wBase += wheelWidth
@@ -393,7 +404,7 @@ func (e *Engine) wheelAdvance() {
 		t.next = nil
 		e.wheelCnt--
 		if t.at < e.wBase+wheelWidth {
-			e.heapPush(t)
+			e.reps.push(t)
 		} else {
 			// Span-aliased: a full revolution (or more) out.
 			t.next = e.overflow
@@ -411,7 +422,7 @@ func (e *Engine) wheelAdvance() {
 			t.next = nil
 			switch {
 			case t.at < e.wBase+wheelWidth:
-				e.heapPush(t)
+				e.reps.push(t)
 			case t.at-e.wBase <= wheelSpan:
 				// Inclusive at the span boundary, matching park: a rep
 				// exactly one revolution out belongs on the wheel.
@@ -430,32 +441,62 @@ func (e *Engine) wheelAdvance() {
 	}
 }
 
-// ensureNear advances the wheel until the near heap provably holds the
-// earliest pending event: either its root fires inside the current
+// ensureNear advances the wheel until the heaps provably hold the
+// earliest pending event: either a heap root fires inside the current
 // window (parked reps are all later) or nothing is parked at all. Every
-// peek and pop goes through here; in the steady state it is one load
-// and one compare.
+// peek and pop goes through here; in the steady state it is a compare
+// or two against the roots.
 func (e *Engine) ensureNear() {
 	for e.wheelCnt > 0 || e.overflowCnt > 0 {
-		if len(e.pq) > 0 && e.pq[0].at < e.wBase+wheelWidth {
+		lim := e.wBase + wheelWidth
+		if len(e.reps) > 0 && e.reps[0].at < lim || len(e.timers) > 0 && e.timers[0].at < lim {
 			return
 		}
 		e.wheelAdvance()
 	}
 }
 
+// repFirst reports whether the rep heap's root is the earliest queued
+// event, ordering before the timer heap's root (or the timer heap is
+// empty). Callers run ensureNear first.
+func (e *Engine) repFirst() bool {
+	return len(e.reps) > 0 && (len(e.timers) == 0 || entryLess(e.reps[0], e.timers[0]))
+}
+
+// peek returns the earliest queued heap entry, and whether one exists.
+// Callers run ensureNear first.
+func (e *Engine) peek() (heapEntry, bool) {
+	if e.repFirst() {
+		return e.reps[0], true
+	}
+	if len(e.timers) > 0 {
+		return e.timers[0], true
+	}
+	return heapEntry{}, false
+}
+
 // Step fires the next pending event, advancing the clock to its time.
 // It reports whether an event fired (false when the queue is drained).
-func (e *Engine) Step() bool {
+func (e *Engine) Step() bool { return e.step(maxTime) }
+
+// maxTime bounds Step's dispatch: no event lies beyond it.
+const maxTime = time.Duration(1<<63 - 1)
+
+// step fires the next pending event if it is due at or before limit,
+// reporting whether one fired.
+func (e *Engine) step(limit time.Duration) bool {
 	e.ensureNear()
-	if len(e.pq) == 0 {
-		return false
-	}
-	if c := e.pq[0].t.chain; c != nil {
-		e.fireChain(c)
+	if e.repFirst() {
+		if e.reps[0].at > limit {
+			return false
+		}
+		e.fireChain(e.reps[0].t)
 		return true
 	}
-	t := e.heapPop()
+	if len(e.timers) == 0 || e.timers[0].at > limit {
+		return false
+	}
+	t := e.timers.pop()
 	// The virtual clock is monotone by construction (Schedule rejects
 	// the past, the heap orders by time); this check turns any future
 	// violation of that invariant into a loud failure rather than a
@@ -467,7 +508,7 @@ func (e *Engine) Step() bool {
 	e.cEvents.Inc()
 	e.dispatched++
 	if e.dispatched&heapGaugeMask == 0 {
-		e.gHeap.Set(int64(len(e.pq)))
+		e.gHeap.Set(int64(len(e.timers) + len(e.reps)))
 	}
 	if t.pooled {
 		// Recycle before firing: the callback may Post again and reuse
@@ -487,19 +528,19 @@ func (e *Engine) Step() bool {
 		t.at += t.period
 		t.seq = e.seq
 		e.seq++
-		e.heapPush(t)
+		e.timers.push(t)
 	}
 	return true
 }
 
 // fireChain dispatches the head event of a chain whose representative
-// sits at the heap root. When the chain has a successor the root is
-// re-keyed in place and sifted down — the successor is usually among
-// the earliest pending events, so the sift ends after a level or two,
-// versus a full-depth pop plus push. The head runs after the re-key so
-// it may post to its own chain.
-func (e *Engine) fireChain(c *Chain) {
-	rep := c.rep
+// sits at the rep heap's root. When the chain has a successor inside
+// the near window the root is re-keyed in place and sifted down; the
+// rep heap holds only the few chains due within the window, so the sift
+// is short. A successor beyond the window parks the rep on the wheel.
+// The head runs after the re-key so it may post to its own chain.
+func (e *Engine) fireChain(rep *Timer) {
+	c := rep.chain
 	if rep.at < e.now {
 		panic(fmt.Sprintf("sim: clock would go backward: event at %v, now %v", rep.at, e.now))
 	}
@@ -507,7 +548,7 @@ func (e *Engine) fireChain(c *Chain) {
 	e.cEvents.Inc()
 	e.dispatched++
 	if e.dispatched&heapGaugeMask == 0 {
-		e.gHeap.Set(int64(len(e.pq)))
+		e.gHeap.Set(int64(len(e.timers) + len(e.reps)))
 	}
 	mask := len(c.ring) - 1
 	ev := c.ring[c.head]
@@ -518,15 +559,15 @@ func (e *Engine) fireChain(c *Chain) {
 		h := &c.ring[c.head]
 		rep.at, rep.seq = h.at, h.seq
 		if h.at < e.wBase+wheelWidth {
-			e.pq[0].at = h.at
-			e.siftDown(0)
+			e.reps[0].at = h.at
+			e.reps.siftDown(0)
 		} else {
-			e.heapPop()
+			e.reps.pop()
 			e.park(rep)
 		}
 		e.chainExtra--
 	} else {
-		e.heapPop()
+		e.reps.pop()
 	}
 	ev.fn()
 }
@@ -542,12 +583,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline time.Duration) {
 	prev := e.deadline
 	e.deadline = deadline
-	for {
-		e.ensureNear()
-		if len(e.pq) == 0 || e.pq[0].at > deadline {
-			break
-		}
-		e.Step()
+	for e.step(deadline) {
 	}
 	e.deadline = prev
 	if e.now < deadline {
@@ -577,8 +613,8 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 	for t >= e.wBase+wheelWidth && (e.wheelCnt > 0 || e.overflowCnt > 0) {
 		e.wheelAdvance()
 	}
-	if len(e.pq) > 0 && e.pq[0].at <= t {
-		panic(fmt.Sprintf("sim: advance to %v past pending event at %v", t, e.pq[0].at))
+	if next, ok := e.peek(); ok && next.at <= t {
+		panic(fmt.Sprintf("sim: advance to %v past pending event at %v", t, next.at))
 	}
 	e.now = t
 }
@@ -588,10 +624,8 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 // answer never reflects cancelled work.
 func (e *Engine) NextEventAt() (time.Duration, bool) {
 	e.ensureNear()
-	if len(e.pq) == 0 {
-		return 0, false
-	}
-	return e.pq[0].at, true
+	next, ok := e.peek()
+	return next.at, ok
 }
 
 // Pending returns the number of events still queued (including events at
@@ -599,7 +633,7 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 // parked chains). Stopped timers leave the queue immediately, so this is
 // a live count, O(1).
 func (e *Engine) Pending() int {
-	return len(e.pq) + e.chainExtra + e.wheelCnt + e.overflowCnt
+	return len(e.timers) + len(e.reps) + e.chainExtra + e.wheelCnt + e.overflowCnt
 }
 
 // Dispatched returns the number of events the engine has fired since
@@ -635,53 +669,59 @@ func entryLess(a, b heapEntry) bool {
 	return a.t.seq < b.t.seq
 }
 
-func (e *Engine) heapPush(t *Timer) {
-	e.pq = append(e.pq, heapEntry{t.at, t})
-	e.siftUp(len(e.pq) - 1)
+// heap4 is a 4-ary min-heap of timers; each queued Timer tracks its
+// slot in Timer.index.
+type heap4 []heapEntry
+
+func (h *heap4) push(t *Timer) {
+	*h = append(*h, heapEntry{t.at, t})
+	h.siftUp(len(*h) - 1)
 }
 
-func (e *Engine) heapPop() *Timer {
-	pq := e.pq
+func (h *heap4) pop() *Timer {
+	pq := *h
 	t := pq[0].t
 	n := len(pq) - 1
 	last := pq[n]
 	pq[n] = heapEntry{}
-	e.pq = pq[:n]
+	*h = pq[:n]
 	t.index = -1
 	if n > 0 {
-		e.pq[0] = last
+		pq[0] = last
 		last.t.index = 0
-		e.siftDown(0)
+		h.siftDown(0)
 	}
 	return t
 }
 
-// heapRemove deletes the timer at heap index i.
-func (e *Engine) heapRemove(i int) {
-	pq := e.pq
+// remove deletes the timer at index i.
+func (h *heap4) remove(i int) {
+	pq := *h
 	t := pq[i].t
 	n := len(pq) - 1
 	last := pq[n]
 	pq[n] = heapEntry{}
-	e.pq = pq[:n]
+	*h = pq[:n]
 	t.index = -1
 	if i < n {
-		e.pq[i] = last
+		pq[i] = last
 		last.t.index = i
-		e.heapFix(i)
+		h.fix(i)
 	}
 }
 
-// heapFix restores heap order after the timer at index i changed key,
+// fix restores heap order after the timer at index i changed key,
 // refreshing the inline time copy first.
-func (e *Engine) heapFix(i int) {
-	e.pq[i].at = e.pq[i].t.at
-	e.siftDown(i)
-	e.siftUp(i)
+func (h *heap4) fix(i int) {
+	(*h)[i].at = (*h)[i].t.at
+	h.siftDown(i)
+	h.siftUp(i)
 }
 
-func (e *Engine) siftUp(i int) {
-	pq := e.pq
+// siftUp stays too large to inline, so push (append plus this call)
+// inlines into its callers.
+func (h *heap4) siftUp(i int) {
+	pq := *h
 	t := pq[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -697,8 +737,8 @@ func (e *Engine) siftUp(i int) {
 	t.t.index = i
 }
 
-func (e *Engine) siftDown(i int) {
-	pq := e.pq
+func (h *heap4) siftDown(i int) {
+	pq := *h
 	n := len(pq)
 	t := pq[i]
 	for {

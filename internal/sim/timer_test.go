@@ -464,3 +464,34 @@ func BenchmarkEngineChain(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkEngineChainIdleTimers is BenchmarkEngineChain in a
+// fleet-shaped queue: 512 owned timers sit idle tens of milliseconds
+// out (the governor, probe and power-state timers a fleet shard
+// holds), and every chain event pushes one of them back the way a
+// device re-arms its open-page flush timer per write. None of them
+// ever fires; they only load the queue the chain events pass through.
+func BenchmarkEngineChainIdleTimers(b *testing.B) {
+	e := NewEngine()
+	const fan, idle = 64, 512
+	timers := make([]*Timer, idle)
+	for i := range timers {
+		timers[i] = e.Schedule(10*time.Millisecond+time.Duration(i)*50*time.Microsecond, func() {})
+	}
+	next := 0
+	for i := 0; i < fan; i++ {
+		c := e.NewChain()
+		var fn func()
+		fn = func() {
+			timers[next].RescheduleAfter(20 * time.Millisecond)
+			next = (next + 1) % idle
+			c.Post(e.Now()+50*time.Microsecond, fn)
+		}
+		c.Post(time.Duration(i+1)*time.Microsecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
